@@ -13,7 +13,6 @@ top space genuinely depends on the past when the generators do not commute.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -149,6 +148,15 @@ class OmegaWindow:
             raise WindowTooShort(f"coordinate {i} beyond past length {len(self.past)}")
         return self.past[-i - 1]
 
+    def symbols(self, start: int, stop: int) -> np.ndarray:
+        """The symbols at coordinates start, ..., stop - 1 as an int array."""
+        if stop > start:
+            self.symbol(start)
+            self.symbol(stop - 1)
+        past = self.past[max(-stop, 0):max(-start, 0)][::-1]
+        future = self.future[max(start, 0):max(stop, 0)]
+        return np.array(past + future, dtype=np.intp)
+
     def shift(self, k: int = 1) -> "OmegaWindow":
         """The window of the shifted sequence: coordinate i reads old i + k."""
         if k == 0:
@@ -200,6 +208,11 @@ class Generator:
     @property
     def alphabet_size(self) -> int:
         return len(self.matrices)
+
+    @property
+    def stack(self) -> np.ndarray:
+        """The matrices as one (alphabet_size, dim, dim) array."""
+        return np.stack(self.matrices)
 
     def matrix(self, symbol: int) -> np.ndarray:
         if not 0 <= symbol < len(self.matrices):
@@ -285,60 +298,47 @@ def _default_burn(n: int) -> int:
     return min(100, n // 10)
 
 
-def _forward_pass(gen, window, start, n, init=None, burn=0, record_at=()):
-    """Iterate Y <- A_j Y with QR renormalization for j = start..start+n-1.
+def _propagate(mats, symbols, q=None, *, reverse=False, record=(), keep_r=False):
+    """The QR propagation loop: Q <- qr(A_s Q) for s in `symbols`, R > 0 on
+    the diagonal.
 
-    Returns (final Q, per-direction mean log rates over steps > burn,
-    recorded {offset: Q_at_offset}) where offset counts applied steps.
+    `mats` is the (alphabet, m, m) stack of generator matrices and `q` the
+    start frame (default: the identity).  With reverse=True the transposed
+    factors are applied in reverse symbol order, so after t steps Q is the
+    frame of the transposed product over the last t symbols.  Returns the
+    final Q, the per-step log|diag R| as a (steps, columns) array, {t: Q after
+    t steps} for t in `record`, and the list of R factors when `keep_r`
+    (else None).
     """
-    m = gen.dim
-    q = np.eye(m) if init is None else np.array(init, copy=True)
-    logs = np.zeros(q.shape[1])
-    recorded = {}
-    record_at = set(record_at)
-    if 0 in record_at:
-        recorded[0] = q.copy()
+    if len(symbols) and not 0 <= symbols.min() <= symbols.max() < len(mats):
+        raise ValueError("window symbol outside the generator alphabet")
+    if reverse:
+        mats, symbols = mats.transpose(0, 2, 1), symbols[::-1]
+    q = np.eye(mats.shape[1]) if q is None else q
+    steps = np.empty((len(symbols), q.shape[1]))
+    recorded = {0: q} if 0 in record else {}
+    rs = [] if keep_r else None
     with np.errstate(divide="ignore"):
-        for j in range(n):
-            y = gen.matrix(window.symbol(start + j)) @ q
-            q, r = _qr_pos(y)
-            if j >= burn:
-                logs += np.log(np.abs(np.diag(r)))
-            if (j + 1) in record_at:
-                recorded[j + 1] = q.copy()
-    denom = max(n - burn, 1)
-    return q, logs / denom, recorded
+        for t, s in enumerate(symbols.tolist(), 1):
+            q, r = _qr_pos(mats[s] @ q)
+            steps[t - 1] = np.log(np.abs(np.diag(r)))
+            if t in record:
+                recorded[t] = q
+            if keep_r:
+                rs.append(r)
+    return q, steps, recorded, rs
 
 
-def _reverse_pass(gen, window, start, n, burn=0, record_from=None):
-    """QR pass of the transposed factors in reverse order over
-    coordinates [start, start + n).
+def _mean_rates(steps: np.ndarray, burn: int = 0) -> np.ndarray:
+    """Per-direction mean of the step log rates after the first `burn` steps.
 
-    The final Q's leading columns estimate the dominant right-singular
-    directions of the n-step product started at `start`; the per-direction
-    mean log rates estimate the Lyapunov exponents.  When `record_from` is an
-    integer k0 >= start, intermediate frames are recorded for every coordinate
-    k in [k0, start + n]: entry k is the frame of the product over [k, start+n).
+    The sum runs in step order (np.sum's pairwise order would change the last
+    bits of every reported rate); no kept steps give zero rates.
     """
-    m = gen.dim
-    q = np.eye(m)
-    logs = np.zeros(m)
-    cumulative = np.zeros(m)
-    recorded = {}
-    if record_from is not None and record_from >= start + n:
-        recorded[start + n] = (q.copy(), cumulative.copy(), 0)
-    with np.errstate(divide="ignore"):
-        for idx, j in enumerate(range(start + n - 1, start - 1, -1)):
-            y = gen.matrix(window.symbol(j)).T @ q
-            q, r = _qr_pos(y)
-            step = np.log(np.abs(np.diag(r)))
-            cumulative += step
-            if idx >= burn:
-                logs += step
-            if record_from is not None and j >= record_from:
-                recorded[j] = (q.copy(), cumulative.copy(), idx + 1)
-    denom = max(n - burn, 1)
-    return q, logs / denom, recorded
+    kept = steps[burn:]
+    if not len(kept):
+        return np.zeros(steps.shape[1])
+    return np.cumsum(kept, axis=0)[-1] / len(kept)
 
 
 def _rate_order(rates: np.ndarray) -> np.ndarray:
@@ -411,8 +411,8 @@ def lyapunov_exponents(
         raise WindowTooShort(f"need {n} future symbols, window has {window.n_future}")
     k = gen.dim if m_trunc is None else int(m_trunc)
     burn = _default_burn(n) if burn_in is None else int(burn_in)
-    init = np.eye(gen.dim)[:, :k]
-    _, rates, _ = _forward_pass(gen, window, 0, n, init=init, burn=burn)
+    _, steps, _, _ = _propagate(gen.stack, window.symbols(0, n), np.eye(gen.dim, k))
+    rates = _mean_rates(steps, burn)
     blocks = _group_blocks(rates[_rate_order(rates)], gap_tolerance)
     return _resolvable(blocks, kappa_estimate, gap_tolerance)
 
@@ -424,16 +424,8 @@ def directional_exponent(gen: Generator, window: OmegaWindow, n: int,
     nv = np.linalg.norm(v)
     if nv == 0:
         return float("-inf")
-    v = v / nv
-    total = 0.0
-    for j in range(n):
-        v = gen.matrix(window.symbol(j)) @ v
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return float("-inf")
-        total += np.log(nv)
-        v = v / nv
-    return total / n
+    _, steps, _, _ = _propagate(gen.stack, window.symbols(0, n), (v / nv)[:, None])
+    return float(_mean_rates(steps)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +458,8 @@ def forward_filtration(
     if n > window.n_future:
         raise WindowTooShort(f"need {n} future symbols, window has {window.n_future}")
     burn = _default_burn(n) if burn_in is None else int(burn_in)
-    w, rates, _ = _reverse_pass(gen, window, 0, n, burn=burn)
+    w, steps, _, _ = _propagate(gen.stack, window.symbols(0, n), reverse=True)
+    rates = _mean_rates(steps, burn)
     order = _rate_order(rates)
     w, rates = w[:, order], rates[order]
     m = gen.dim
@@ -527,20 +520,6 @@ def _orthonormal_image(matrix: np.ndarray, sub: Subspace) -> Subspace | None:
     return Subspace(q)
 
 
-def _splitting_frames(gen, window, n_past, n_future, block_ends, *, record_fw=()):
-    """Push the dominant right-singular frame of the far-past product forward
-    to coordinate 0 (and optionally beyond), returning {offset: frame}."""
-    n_total = n_past + n_future
-    u_far, u_rates, _ = _reverse_pass(gen, window, -n_past, n_total,
-                                      burn=_default_burn(n_total))
-    u_far = u_far[:, _rate_order(u_rates)]
-    extra = max(record_fw, default=1)
-    record = {0, n_past, n_past + 1} | {n_past + k for k in record_fw}
-    _, _, rec = _forward_pass(gen, window, -n_past, n_past + max(extra, 1),
-                              init=u_far, record_at=record)
-    return {k - n_past: v for k, v in rec.items()}
-
-
 def oseledets_splitting(
     gen: Generator,
     driving: DrivingSystem | None = None,
@@ -579,9 +558,25 @@ def oseledets_splitting(
     m = gen.dim
     n_total = n_past + n_future
     burn = _default_burn(n_total) if burn_in is None else int(burn_in)
+    half = n_past // 2
+    mats = gen.stack
+
+    # One reverse pass over [-n_past, n_future) gives the spectrum, and its
+    # frame after t steps is that of the product over [n_future - t,
+    # n_future): recorded at coordinates -n_past (pushed forward), -n_past/2
+    # (pushed forward for the Cauchy check), 0 and 1 (the filtrations).
+    _, steps, rev, _ = _propagate(
+        mats, window.symbols(-n_past, n_future), reverse=True,
+        record={n_total, n_future + half, n_future, max(n_future - 1, 0)})
+
+    def sorted_frame(t, burn_t=0):
+        # the frame after t steps, columns sorted by their mean rates
+        rates_t = _mean_rates(steps[:t], burn_t)
+        order = _rate_order(rates_t)
+        return rev[t][:, order], rates_t[order]
 
     # spectrum from the full-window product
-    _, rates, _ = _reverse_pass(gen, window, -n_past, n_total, burn=burn)
+    rates = _mean_rates(steps, burn)
     rates = rates[_rate_order(rates)]
     blocks = _group_blocks(rates, gap_tolerance)
     blocks = _resolvable(blocks, kappa_estimate, gap_tolerance)
@@ -592,17 +587,16 @@ def oseledets_splitting(
     ends = list(np.cumsum(mults))
     p = len(blocks)
 
-    # fast frames at coordinates 0 and 1 (push-forward of far-past directions)
-    fw = _splitting_frames(gen, window, n_past, n_future, ends)
-    q0, q1 = fw[0], fw[1]
-
     # filtration frames at coordinates 0 and 1
-    w0, r0rates, _ = _reverse_pass(gen, window, 0, n_future, burn=0)
-    order0 = _rate_order(r0rates)
-    w0, r0rates = w0[:, order0], r0rates[order0]
-    w1, r1rates, _ = _reverse_pass(gen, window, 1, n_future - 1, burn=0)
-    w1 = w1[:, _rate_order(r1rates)]
+    w0, r0rates = sorted_frame(n_future)
+    w1, _ = sorted_frame(max(n_future - 1, 0))
     _check_block_boundaries(r0rates, ends + [m], gap_tolerance, n_future)
+
+    # fast frames at coordinates 0 and 1 (push-forward of far-past directions)
+    u_far, _ = sorted_frame(n_total, _default_burn(n_total))
+    _, _, fw, _ = _propagate(mats, window.symbols(-n_past, 1), u_far,
+                             record={n_past, n_past + 1})
+    q0, q1 = fw[n_past], fw[n_past + 1]
 
     def blockwise(qf, wf):
         spaces = []
@@ -643,9 +637,9 @@ def oseledets_splitting(
     # convergence (Cauchy) gaps against half the past length
     cauchy = []
     if check_convergence and n_past >= 2:
-        fw_half = _splitting_frames(gen, window, n_past // 2, n_future, ends)
-        half = blockwise(fw_half[0], w0)
-        for e_full, e_half in zip(splitting, half):
+        u_half, _ = sorted_frame(n_future + half, _default_burn(n_future + half))
+        q_half = _propagate(mats, window.symbols(-half, 0), u_half)[0]
+        for e_full, e_half in zip(splitting, blockwise(q_half, w0)):
             cauchy.append(gap(e_full, e_half))
         worst = max(cauchy)
         if worst > convergence_tolerance:
@@ -695,12 +689,10 @@ def uniform_growth_check(
     """
     if n > window.n_future:
         raise WindowTooShort(f"need {n} future symbols, window has {window.n_future}")
-    b = np.array(e.frame, copy=True)
+    _, _, _, rs = _propagate(gen.stack, window.symbols(0, n), e.frame, keep_r=True)
     acc = np.eye(e.d)
     log_scale = 0.0
-    for j in range(n):
-        y = gen.matrix(window.symbol(j)) @ b
-        b, r = _qr_pos(y)
+    for r in rs:
         acc = r @ acc
         s = np.max(np.abs(acc))
         if s > 1e100 or (0 < s < 1e-100):
@@ -743,16 +735,11 @@ def backward_decay_check(
     start = -(n_past + burn)
     # dominant directions at the far past, pushed forward while the upper
     # triangular one-step factors on the fast sum are recorded
-    span = n_past + burn
-    u_far, u_rates, _ = _reverse_pass(gen, window, start, span,
-                                      burn=min(burn, span // 2))
-    q = u_far[:, _rate_order(u_rates)][:, :c_i]
-    r_blocks: list[np.ndarray] = []
-    for j in range(start, 0):
-        y = gen.matrix(window.symbol(j)) @ q
-        q, r = _qr_pos(y)
-        if j >= -n_past:
-            r_blocks.append(r)
+    mats, symbols = gen.stack, window.symbols(start, 0)
+    u_far, steps, _, _ = _propagate(mats, symbols, reverse=True)
+    q = u_far[:, _rate_order(_mean_rates(steps, min(burn, len(symbols) // 2)))][:, :c_i]
+    q, _, _, r_blocks = _propagate(mats, symbols, q, keep_r=True)
+    r_blocks = r_blocks[burn:]
     # q now spans the fast sum at coordinate 0
     e_i = report.splitting[i - 1]
     v = e_i.frame[:, 0] if v0 is None else np.asarray(v0, dtype=float)
@@ -818,34 +805,42 @@ def uniqueness_diagnostic(
     if window.n_future < n + tail:
         raise WindowTooShort(f"need {n + tail} future symbols, window has {window.n_future}")
     n_past = report.n_past_used
+    n_total = n_past + n + tail
+    mats = gen.stack
 
-    fw = _splitting_frames(gen, window, n_past, n + tail, [c_i],
-                           record_fw=range(1, n + 1))
-    _, _, rec_rev = _reverse_pass(gen, window, 0, n + tail, record_from=0)
+    # one reverse pass: the far-past frame to push forward, and the
+    # filtration frames at coordinates k = 0..n (after n + tail - k steps)
+    _, steps, rev, _ = _propagate(mats, window.symbols(-n_past, n + tail), reverse=True,
+                                  record={n_total, *range(tail, n + tail + 1)})
+    u_far = rev[n_total][:, _rate_order(_mean_rates(steps, _default_burn(n_total)))]
+    _, _, fw, _ = _propagate(mats, window.symbols(-n_past, n), u_far,
+                             record=range(n_past, n_past + n + 1))
+    # the candidate's pushes; a step collapses it when its smallest
+    # |diag R| is below 1e-12 * max(1, largest |diag R|)
+    _, cand_steps, cands, _ = _propagate(mats, window.symbols(0, n), candidate.frame,
+                                         record=range(n + 1))
+    collapsed = (cand_steps.min(axis=1)
+                 <= np.log(1e-12) + np.maximum(cand_steps.max(axis=1), 0.0))
 
     out = np.empty(n + 1)
-    cand = candidate
     for k in range(n + 1):
-        qk = fw[k]
-        wk_raw, wk_logs, wk_steps = rec_rev[k]
-        wk = wk_raw[:, _rate_order(wk_logs / max(wk_steps, 1))]
+        qk = fw[n_past + k]
+        t = n + tail - k
+        wk = rev[t][:, _rate_order(_mean_rates(steps[:t]))]
+        cand = cands[k]
         fast = Subspace(qk[:, :c_i])
         slow = Subspace(wk[:, c_i:])
         # the candidate must complement V_{i+1} within V_i: together with the
         # faster blocks it has to span the whole space
-        check = np.hstack([qk[:, :c_prev], cand.frame, wk[:, c_i:]])
+        check = np.hstack([qk[:, :c_prev], cand, wk[:, c_i:]])
         sv = np.linalg.svd(check, compute_uv=False)
         if check.shape[1] != m or sv[-1] < 1e-10:
             raise NotComplementary(
                 f"candidate at step {k} fails the direct-sum precondition")
         proj = project_along(kernel=fast, range=slow)
-        out[k] = np.linalg.norm(proj.matrix @ cand.frame, 2)
-        if k < n:
-            nxt = _orthonormal_image(gen.matrix(window.symbol(k)), cand)
-            if nxt is None:
-                raise NotComplementary(
-                    f"candidate collapses under the step at coordinate {k}")
-            cand = nxt
+        out[k] = np.linalg.norm(proj.matrix @ cand, 2)
+        if k < n and collapsed[k]:
+            raise NotComplementary(f"candidate collapses under the step at coordinate {k}")
     return out
 
 
@@ -889,16 +884,16 @@ def noncommuting_base_demo(
     if len(futures) != 1:
         raise ValueError("windows must share a common future")
 
+    mats = gen.stack
     spaces = []
     per_window_gaps = []
     for w in pasts:
         n_p, n_f = w.n_past, w.n_future
-        u_far, rates, _ = _reverse_pass(gen, w, -n_p, n_p + n_f,
-                                        burn=min(20, (n_p + n_f) // 5))
+        u_far, steps, _, _ = _propagate(mats, w.symbols(-n_p, n_f), reverse=True)
+        rates = _mean_rates(steps, min(20, (n_p + n_f) // 5))
         per_window_gaps.append(abs(rates[0] - rates[1]))
         top = int(np.argmax(rates))
-        q, _, _ = _forward_pass(gen, w, -n_p, n_p, init=u_far[:, top:top + 1])
-        spaces.append(Subspace(q))
+        spaces.append(Subspace(_propagate(mats, w.symbols(-n_p, 0), u_far[:, [top]])[0]))
     # One system-level separation estimate: the mean over sampled windows.
     gap_est = float(np.mean(per_window_gaps))
     if gap_est < gap_tolerance:
@@ -929,26 +924,13 @@ def sweep_reports(
     count: int,
     n_past: int = 200,
     n_future: int = 50,
-    *,
-    max_workers: int | None = None,
     **kwargs,
 ) -> list[SpectrumReport]:
     """Splitting reports over `count` independently sampled windows.
 
-    Window i uses the seed-derived stream i; evaluation may run concurrently
-    but results are always reduced in index order, so the output is
-    deterministic for a fixed (seed, count, parameters).
+    Window i uses the seed-derived stream i and windows run serially in
+    index order, so the output is deterministic for a fixed (seed, count,
+    parameters).
     """
-    windows = driving.sample_windows(count, n_past, n_future)
-
-    def job(w):
-        return oseledets_splitting(gen, None, w, n_past, n_future, **kwargs)
-
-    if max_workers == 1 or count <= 1:
-        return [job(w) for w in windows]
-    out: list[SpectrumReport | None] = [None] * count
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = {pool.submit(job, w): i for i, w in enumerate(windows)}
-        for fut in concurrent.futures.as_completed(futures):
-            out[futures[fut]] = fut.result()
-    return out  # type: ignore[return-value]
+    return [oseledets_splitting(gen, None, w, n_past, n_future, **kwargs)
+            for w in driving.sample_windows(count, n_past, n_future)]

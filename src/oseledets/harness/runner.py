@@ -3,7 +3,6 @@ modules and flatten the outcome into a result record."""
 
 from __future__ import annotations
 
-import concurrent.futures
 import itertools
 import time
 
@@ -265,31 +264,19 @@ def _apply_point(cfg: RunConfig, point: dict[str, str], index: int) -> RunConfig
     return out
 
 
-def sweep(cfg: RunConfig, grid: list[tuple[str, list[str]]],
-          max_workers: int | None = None) -> list[dict]:
-    """One record per grid point, in grid order; per-point seeds are
-    base_seed XOR point_index.  Failed points carry error tags."""
+def sweep(cfg: RunConfig, grid: list[tuple[str, list[str]]]) -> list[dict]:
+    """One record per grid point, run serially in grid order; per-point seeds
+    are base_seed XOR point_index.  Failed points carry error tags."""
     if not grid:
         return []
     keys = [k for k, _ in grid]
     points = [dict(zip(keys, combo))
               for combo in itertools.product(*[vals for _, vals in grid])]
-    if not points:
-        return []
-    configs = [_apply_point(cfg, point, i) for i, point in enumerate(points)]
-
-    def job(i: int) -> dict:
-        record = run(configs[i])
+    records = []
+    for i, point in enumerate(points):
+        record = run(_apply_point(cfg, point, i))
         record["sweep_index"] = i
-        for key, value in points[i].items():
+        for key, value in point.items():
             record[f"grid_{key.replace('.', '_')}"] = value
-        return record
-
-    if max_workers == 1 or len(points) == 1:
-        return [job(i) for i in range(len(points))]
-    out: list[dict | None] = [None] * len(points)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futs = {pool.submit(job, i): i for i in range(len(points))}
-        for fut in concurrent.futures.as_completed(futs):
-            out[futs[fut]] = fut.result()
-    return out  # type: ignore[return-value]
+        records.append(record)
+    return records

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import cocycle as _cocycle
 from .errors import (
@@ -73,6 +72,10 @@ class Branch:
         lo, hi = self.image()
         if not lo - 1e-12 <= y <= hi + 1e-12:
             raise ValueError("point not in branch image")
+        # imported here: scipy.optimize dominates the package's import time,
+        # and only non-affine branches need it
+        from scipy.optimize import brentq
+
         return brentq(lambda x: self.fn(x) - y, self.a, self.b, xtol=1e-14)
 
     def min_abs_derivative(self, samples: int = 10_000) -> float:
@@ -468,6 +471,8 @@ def _accumulate_bin_mass(mat, i, br, xa, xb, edges, k):
             if br.is_affine:
                 next_x = br.inverse(y_edge)
             else:
+                from scipy.optimize import brentq
+
                 try:
                     next_x = brentq(lambda x: br.fn(x) - y_edge, xa, xb, xtol=1e-14)
                 except ValueError as exc:  # pragma: no cover - defensive

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oseledets.cocycle as cc
 from oseledets.cocycle import (
     DrivingSystem,
     Generator,
@@ -158,6 +159,21 @@ def test_exponent_shift_identity():
     assert np.allclose(full, tail, rtol=1e-12)
 
 
+def test_directional_exponent_matches_norm_loop():
+    # reference: renormalize by the vector norm each step; the QR kernel's
+    # |R| is the same norm up to rounding, so only the last bits may differ
+    rng = np.random.default_rng(45)
+    gen = Generator.from_list([rng.normal(size=(3, 3)) for _ in range(2)])
+    w = DrivingSystem.iid([0.5, 0.5], seed=46).sample_window(0, 500)
+    v = rng.standard_normal(3)
+    total, u = 0.0, v / np.linalg.norm(v)
+    for j in range(500):
+        u = gen.matrix(w.symbol(j)) @ u
+        total += np.log(np.linalg.norm(u))
+        u = u / np.linalg.norm(u)
+    assert directional_exponent(gen, w, 500, v) == pytest.approx(total / 500, abs=1e-12)
+
+
 def test_sup_over_directions_matches_norm_rate():
     rng = np.random.default_rng(7)
     gen = Generator.from_list([rng.uniform(0.5, 1.5, size=(3, 3)) for _ in range(2)])
@@ -285,14 +301,106 @@ def test_splitting_reproducible_bit_for_bit():
 
 
 def test_sweep_deterministic_ordered():
+    # the sweep is the splitting of sampled window i at position i, bit for bit
     rng = np.random.default_rng(16)
     gen = Generator.from_list([rng.uniform(0.5, 2.0, size=(2, 2)) for _ in range(2)])
     drv = DrivingSystem.iid([0.5, 0.5], seed=17)
-    reps_a = sweep_reports(gen, drv, 6, n_past=80, n_future=25)
-    reps_b = sweep_reports(gen, drv, 6, n_past=80, n_future=25, max_workers=1)
-    assert [r.exponents for r in reps_a] == [r.exponents for r in reps_b]
-    for ra, rb in zip(reps_a, reps_b):
-        assert np.array_equal(ra.splitting[0].frame, rb.splitting[0].frame)
+    reps = sweep_reports(gen, drv, 6, n_past=80, n_future=25)
+    windows = drv.sample_windows(6, 80, 25)
+    assert len(reps) == len(windows)
+    for rep, w in zip(reps, windows):
+        ref = oseledets_splitting(gen, None, w, n_past=80, n_future=25)
+        assert rep.exponents == ref.exponents
+        assert rep.residuals == ref.residuals
+        for e, e_ref in zip(rep.splitting, ref.splitting):
+            assert np.array_equal(e.frame, e_ref.frame)
+        for f, f_ref in zip(rep.filtration, ref.filtration):
+            assert np.array_equal(f.frame, f_ref.frame)
+    # distinct streams give distinct windows, so the order is observable
+    assert len({w.past + w.future for w in windows}) == len(windows)
+
+
+# -- the propagation kernel ---------------------------------------------------
+
+def test_splitting_qr_work_count(monkeypatch):
+    # one reverse pass (250 steps) and two forward pushes (201 + 100 steps)
+    rng = np.random.default_rng(40)
+    gen = Generator.from_list([rng.uniform(0.5, 2.0, size=(2, 2)) for _ in range(2)])
+    window = DrivingSystem.iid([0.5, 0.5], seed=41).sample_window(200, 50)
+    calls = []
+    qr = np.linalg.qr
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    oseledets_splitting(gen, None, window, n_past=200, n_future=50)
+    assert len(calls) <= 560
+
+
+def test_splitting_recorded_frames_match_svd(monkeypatch):
+    # The reverse pass of the splitting records frames at coordinates 0, 1 and
+    # -n_past/2.  The frame at coordinate c must carry the right-singular
+    # directions of the exact product over [c, n_future): fast first.  A
+    # strongly hyperbolic pair makes that exact to round-off within 9 steps.
+    rot = np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
+    gen = Generator.from_list([np.diag([8.0, 0.25]), rot @ np.diag([6.0, 0.5])])
+    n_past, n_future = 20, 10
+    window = DrivingSystem.iid([0.5, 0.5], seed=42).sample_window(n_past, n_future)
+    reverse_calls = []
+    propagate = cc._propagate
+
+    def spy(*args, **kwargs):
+        out = propagate(*args, **kwargs)
+        if kwargs.get("reverse"):
+            reverse_calls.append(out)
+        return out
+
+    monkeypatch.setattr(cc, "_propagate", spy)
+    oseledets_splitting(gen, None, window, n_past=n_past, n_future=n_future)
+    assert len(reverse_calls) == 1
+    recorded = reverse_calls[0][2]
+    for c in (0, 1, -(n_past // 2)):
+        frame = recorded[n_future - c]
+        _, _, vt = np.linalg.svd(compose(gen, window.shift(c), n_future - c))
+        for col in range(2):
+            assert gap(Subspace(frame[:, [col]]), Subspace(vt[[col]].T)) <= 1e-10
+
+
+def test_kernel_modes_match_exact_products():
+    # forward and reverse passes against the QR factors of the exact
+    # product; rotations times mild scalings keep that product well conditioned
+    rng = np.random.default_rng(44)
+    gen = Generator.from_list([np.linalg.qr(rng.normal(size=(3, 3)))[0]
+                               @ np.diag([1.3, 1.0, 0.8]) for _ in range(2)])
+    window = DrivingSystem.iid([0.5, 0.5], seed=43).sample_window(0, 12)
+    symbols = window.symbols(0, 12)
+    prod = compose(gen, window, 12)
+    q, steps, recorded, rs = cc._propagate(gen.stack, symbols, record={0, 12},
+                                           keep_r=True)
+    q_ref, r_ref = cc._qr_pos(prod)
+    assert np.allclose(q, q_ref, atol=1e-10)
+    assert np.allclose(steps.sum(axis=0), np.log(np.diag(r_ref)), atol=1e-10)
+    r_total = np.linalg.multi_dot(rs[::-1])
+    assert np.allclose(r_total, r_ref, atol=1e-10)
+    assert np.array_equal(recorded[0], np.eye(3)) and recorded[12] is q
+    q_rev, steps_rev, _, _ = cc._propagate(gen.stack, symbols, reverse=True)
+    q_ref, r_ref = cc._qr_pos(prod.T)
+    assert np.allclose(q_rev, q_ref, atol=1e-10)
+    assert np.allclose(steps_rev.sum(axis=0), np.log(np.diag(r_ref)), atol=1e-10)
+
+
+def test_window_symbols_match_coordinates():
+    w = OmegaWindow(past=(1, 2, 0), future=(2, 1))
+    assert w.symbols(-3, 2).tolist() == [w.symbol(i) for i in range(-3, 2)]
+    assert w.symbols(-2, 0).tolist() == [2, 1]
+    assert w.symbols(1, 2).tolist() == [1]
+    assert w.symbols(0, 0).tolist() == []
+    with pytest.raises(WindowTooShort):
+        w.symbols(-4, 0)
+    with pytest.raises(WindowTooShort):
+        w.symbols(0, 3)
 
 
 # -- growth and decay diagnostics ---------------------------------------------

@@ -345,3 +345,14 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0
     record = json.loads(proc.stdout.strip().split("\n")[-1])
     assert record["status"] == "ok"
+
+
+def test_cli_import_skips_scipy_optimize():
+    # scipy.optimize is most of the CLI's import time; only non-affine
+    # interval branches need it, and they import it on first use
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, oseledets.harness.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
