@@ -13,6 +13,7 @@ top space genuinely depends on the past when the generators do not commute.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -88,22 +89,20 @@ class DrivingSystem:
     def rng(self, stream: int = 0) -> np.random.Generator:
         return np.random.default_rng([self.seed, stream])
 
-    def _sample_path(self, length: int, rng: np.random.Generator) -> np.ndarray:
-        if self.law == "iid":
-            return rng.choice(self.alphabet_size, size=length, p=np.asarray(self.probs))
-        t = np.asarray(self.transition)
-        path = np.empty(length, dtype=np.int64)
-        path[0] = rng.choice(self.alphabet_size, p=np.asarray(self.probs))
-        for j in range(1, length):
-            path[j] = rng.choice(self.alphabet_size, p=t[path[j - 1]])
-        return path
-
     def sample_window(self, n_past: int, n_future: int, stream: int = 0) -> "OmegaWindow":
-        rng = self.rng(stream)
-        path = self._sample_path(n_past + n_future, rng)
-        past = tuple(int(s) for s in path[:n_past][::-1])  # past[0] is coordinate -1
-        future = tuple(int(s) for s in path[n_past:])
-        return OmegaWindow(past=past, future=future)
+        """n_past + n_future consecutive symbols of stream `stream`, split at
+        coordinate 0.  Each symbol inverts one uniform through the cumulative
+        law of its step: `probs`, then the previous symbol's transition row
+        (`probs` under i.i.d.), as a per-step `Generator.choice` would."""
+        rows = self.transition if self.law == "markov" else (self.probs,) * self.alphabet_size
+        cdf = np.cumsum([self.probs, *rows], axis=1)
+        cdf = (cdf / cdf[:, -1:]).tolist()
+        path, row = [], cdf[0]
+        for u in self.rng(stream).random(n_past + n_future):
+            path.append(bisect_right(row, u))
+            row = cdf[1 + path[-1]]
+        # past[0] is coordinate -1
+        return OmegaWindow(past=tuple(path[:n_past][::-1]), future=tuple(path[n_past:]))
 
     def sample_windows(self, count: int, n_past: int, n_future: int,
                        start_stream: int = 0) -> list["OmegaWindow"]:
@@ -351,13 +350,18 @@ def _rate_order(rates: np.ndarray) -> np.ndarray:
     return np.argsort(-rates, kind="stable")
 
 
+def _rate_gap(hi: float, lo: float) -> float:
+    """hi - lo for descending rates; equal rates, -inf included, have gap 0."""
+    return 0.0 if hi == lo else hi - lo
+
+
 def _group_blocks(rates: np.ndarray, gap_tolerance: float) -> list[tuple[float, int]]:
     """Group consecutive per-direction rates into blocks separated by more
     than `gap_tolerance`; closer values merge into one multiplicity block."""
     blocks = []
     start = 0
     for j in range(1, len(rates) + 1):
-        if j == len(rates) or rates[j - 1] - rates[j] > gap_tolerance:
+        if j == len(rates) or _rate_gap(rates[j - 1], rates[j]) > gap_tolerance:
             chunk = rates[start:j]
             blocks.append((float(np.mean(chunk)), j - start))
             start = j
@@ -434,10 +438,9 @@ def directional_exponent(gen: Generator, window: OmegaWindow, n: int,
 
 def _check_block_boundaries(rates, block_ends, gap_tolerance, n_scale):
     for c in block_ends[:-1]:
-        if c < len(rates) and not rates[c - 1] - rates[c] > gap_tolerance:
-            raise BlockDegeneracy(
-                f"rate gap at block boundary {c} is "
-                f"{rates[c - 1] - rates[c]:.3e} < {gap_tolerance:.3e} (n={n_scale})")
+        if c < len(rates) and not (g := _rate_gap(rates[c - 1], rates[c])) > gap_tolerance:
+            raise BlockDegeneracy(f"rate gap at block boundary {c} is {g:.3e} < "
+                                  f"{gap_tolerance:.3e} (n={n_scale})")
 
 
 def forward_filtration(

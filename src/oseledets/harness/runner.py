@@ -156,7 +156,8 @@ def run_sft(cfg: RunConfig) -> dict:
         samples.append(sf.CylinderFunction(
             example.sft, depth,
             rng.uniform(-1.0, 1.0, size=len(example.sft.legal_words(depth)))))
-    smoothing = sf.lipschitz_ly_check(example.sft, weights, n_ic, samples)
+    smoothing = sf.lipschitz_ly_check(example.sft, weights, n_ic, samples,
+                                      k_constant=sandwich.k_constant)
     return {
         "kind": "sft",
         "theta": theta,

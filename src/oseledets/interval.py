@@ -263,12 +263,6 @@ class BVFunction:
                    np.array([1.0, 0.0]))
 
     @classmethod
-    def from_values(cls, breakpoints, piece_values) -> "BVFunction":
-        """Pieces given as (left limit, right limit) pairs."""
-        pv = np.asarray(piece_values, dtype=float)
-        return cls(np.asarray(breakpoints, dtype=float), pv[:, 0], pv[:, 1])
-
-    @classmethod
     def random(cls, rng: np.random.Generator, max_pieces: int = 8,
                scale: float = 1.0) -> "BVFunction":
         k = int(rng.integers(1, max_pieces + 1))

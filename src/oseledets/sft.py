@@ -137,6 +137,16 @@ class Sft:
             self._cache[key] = out
         return self._cache[key]
 
+    def representative_index(self, n: int, depth: int) -> np.ndarray:
+        """Index at `depth` of the representative point of every depth-n cylinder."""
+        key = ("representative", n, depth)
+        if key not in self._cache:
+            idx = self.word_index(depth)
+            self._cache[key] = np.array(
+                [idx[self.representative(w).head(depth)] for w in self.legal_words(n)],
+                dtype=np.int64)
+        return self._cache[key]
+
     def check_word(self, word: Sequence[int]) -> Word:
         word = tuple(int(s) for s in word)
         if not word:
@@ -246,10 +256,6 @@ class CylinderFunction:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def from_dict(cls, sft: Sft, depth: int, values: Mapping[Word, float]):
-        return cls(sft, depth, values)
-
-    @classmethod
     def constant(cls, sft: Sft, c: float, depth: int = 1) -> "CylinderFunction":
         return cls(sft, depth, np.full(len(sft.legal_words(depth)), float(c)))
 
@@ -294,11 +300,6 @@ class CylinderFunction:
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.array)))
-
-    @property
-    def lip_bound(self) -> float:
-        """The exact theta-Lipschitz seminorm (computed once, then stored)."""
-        return self.lip_theta()
 
     def lip_theta(self) -> float:
         """Exact theta-Lipschitz seminorm.
@@ -408,22 +409,16 @@ def transfer_apply_word(sft: Sft, weights: Sequence[CylinderFunction],
     return out
 
 
-def cylinder_projection(sft: Sft, f, n: int) -> CylinderFunction:
+def cylinder_projection(sft: Sft, f: CylinderFunction, n: int) -> CylinderFunction:
     """Projection onto depth-n cylinder functions by evaluation at the
-    deterministic representative point of each cylinder.
-
-    `f` may be a CylinderFunction (returned unchanged when its depth is at
-    most n) or a callable on points.
+    deterministic representative point of each depth-n cylinder (see
+    `Sft.representative`); `f` is returned unchanged when its depth is at
+    most n.  The evaluation is one gather through the cached
+    `Sft.representative_index`.
     """
-    if isinstance(f, CylinderFunction):
-        if f.depth <= n:
-            return f
-        fn = f.evaluate
-    else:
-        fn = f
-    vals = np.array([fn(sft.representative(w)) for w in sft.legal_words(n)],
-                    dtype=float)
-    return CylinderFunction(sft, n, vals)
+    if f.depth <= n:
+        return f
+    return CylinderFunction(sft, n, f.array[sft.representative_index(n, f.depth)])
 
 
 def transfer_matrix(sft: Sft, g: CylinderFunction) -> tuple[np.ndarray, list[Word]]:
@@ -455,8 +450,7 @@ def weight_generator(sft: Sft, weights: Sequence[CylinderFunction]) -> _cocycle.
 
 def rn(sft: Sft, weights: Sequence[CylinderFunction], n: int) -> float:
     """Sup norm of the n-step transfer image of the constant function 1."""
-    image = transfer_apply_word(sft, weights, CylinderFunction.constant(sft, 1.0), n)
-    return image.sup_norm()
+    return transfer_apply_word(sft, weights, CylinderFunction.constant(sft, 1.0), n).sup_norm()
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +519,14 @@ def distortion_check(sft: Sft, weights: Sequence[CylinderFunction], k_max: int,
                             proof_bound=proof_bound)
 
 
+def _smoothing_constant(sft: Sft, weights: Sequence[CylinderFunction], n: int) -> float:
+    """K = max(2, feasible distortion constant) of the n-step weight product:
+    the distortion constant controls same-first-symbol pairs and the
+    difference of two sup-bounded images controls the rest."""
+    depth = max(max(w.depth for w in weights[:n]), 2)
+    return max(2.0, distortion_check(sft, weights, n, depth).feasible_d)
+
+
 @dataclass(frozen=True)
 class SmoothingReport:
     r_n: float
@@ -542,16 +544,14 @@ def lipschitz_ly_check(
 ) -> SmoothingReport:
     """Check |P^(n) f|_theta <= R_n (theta^n |f|_theta + K ||f||_inf).
 
-    K defaults to max(2, feasible distortion constant): the distortion
-    constant controls same-first-symbol pairs and the difference of two
-    sup-bounded images controls the rest.
+    K defaults to max(2, feasible distortion constant), the `k_constant` of
+    `norm_and_ic_bounds` for the same weights and n; pass that value to skip
+    a second distortion pass.
     """
     theta = sft.theta
     r_n = rn(sft, weights, n)
     if k_constant is None:
-        depth = max(max(w.depth for w in weights[:n]), 2)
-        d = distortion_check(sft, weights, n, depth).feasible_d
-        k_constant = max(2.0, d)
+        k_constant = _smoothing_constant(sft, weights, n)
     slacks = []
     for f in f_samples:
         image = transfer_apply_word(sft, weights, f, n)
@@ -619,14 +619,12 @@ def norm_and_ic_bounds(
     if not sft.irreducible:
         raise NotIrreducible("the certificate construction needs irreducibility")
     theta = sft.theta
-    r_n = rn(sft, weights, n)
-    depth = max(max(w.depth for w in weights[:n]), 2)
-    d = distortion_check(sft, weights, n, depth).feasible_d
-    k_constant = max(2.0, d)
+    image1 = transfer_apply_word(sft, weights, CylinderFunction.constant(sft, 1.0), n)
+    r_n = image1.sup_norm()
+    k_constant = _smoothing_constant(sft, weights, n)
     op_upper = (k_constant + 1.0) * r_n
 
     # certified separated family about a maximizer of P^(n) 1
-    image1 = transfer_apply_word(sft, weights, CylinderFunction.constant(sft, 1.0), n)
     best_word = sft.legal_words(image1.depth)[int(np.argmax(image1.array))]
     u = sft.representative(best_word)
     depths = _proper_nested_depths(sft, u, image1.depth, family_size)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,18 @@ def test_exponents_rank_deficient_block_dropped():
     exps = lyapunov_exponents(gen, CONST_DRIVING, n=200)
     assert len(exps) == 1
     assert exps[0] == (pytest.approx(LOG2, abs=1e-12), 1)
+
+
+def test_group_blocks_minus_inf_rates():
+    rates = np.array([1.0, -np.inf, -np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cc._group_blocks(rates, 1e-3) == [(1.0, 1), (-np.inf, 2)]
+        with pytest.raises(BlockDegeneracy):
+            cc._check_block_boundaries(rates, [2, 3], 1e-3, 10)
+        gen = Generator.from_list([np.diag([2.0, 0.0, 0.0])])
+        exps = lyapunov_exponents(gen, DrivingSystem.iid((1.0,), 0), n=50)
+    assert exps == [(pytest.approx(LOG2, abs=1e-12), 1)]
 
 
 def test_exponent_of_zero_vector():
@@ -567,3 +581,25 @@ def test_bad_driving_rejected():
     with pytest.raises(ValueError):
         DrivingSystem(alphabet_size=2, law="markov", probs=(0.9, 0.1),
                       transition=((0.5, 0.5), (0.5, 0.5)), seed=1)
+
+
+def _choice_path(drv, length, rng):
+    """Reference sampler: one Generator.choice call per step."""
+    path = np.empty(length, dtype=np.int64)
+    for j in range(length):
+        p = drv.probs if j == 0 or drv.law == "iid" else drv.transition[path[j - 1]]
+        path[j] = rng.choice(drv.alphabet_size, p=np.asarray(p))
+    return path
+
+
+@pytest.mark.parametrize("drv", [
+    DrivingSystem.iid([0.1, 0.2, 0.3, 0.4], seed=26),
+    DrivingSystem.markov([[0.6, 0.3, 0.1], [0.2, 0.6, 0.2], [0.1, 0.3, 0.6]], seed=27),
+], ids=["iid", "markov"])
+def test_sampler_matches_per_step_choice(drv):
+    for length in (0, 1, 7, 5000):
+        for stream in (0, 3):
+            want = _choice_path(drv, length, drv.rng(stream)).tolist()
+            assert drv.sample_window(0, length, stream).future == tuple(want)
+            split = drv.sample_window(length // 2, length - length // 2, stream)
+            assert split.past[::-1] + split.future == tuple(want)

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from oseledets import sft as sf
 from oseledets.errors import ConfigError, UnknownField
 from oseledets.harness import records as rec
 from oseledets.harness import runner
@@ -149,6 +150,21 @@ def test_run_sft_record(tmp_path):
     assert record["r_n"] == 1.0
     assert record["ly_min_slack"] >= 0.0
     assert min(record["ly_slacks"]) == record["ly_min_slack"]
+
+
+def test_run_sft_certificate_passes_run_once(tmp_path, monkeypatch):
+    calls = {"distortion_check": 0, "rn": 0}
+    for name in calls:
+        original = getattr(sf, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(sf, name, counted)
+    record = runner.run(load_config(write_cfg(tmp_path, SFT_CFG)))
+    assert record["status"] == "ok"
+    assert calls == {"distortion_check": 1, "rn": 1}
 
 
 def test_run_cocycle_record(tmp_path):

@@ -218,6 +218,22 @@ def test_projection_bounds_random():
             assert resid.lip_theta() <= max(2 * sft.theta, 1.0) * lip + 1e-12
 
 
+def test_projection_gather_matches_point_evaluation():
+    greedy = 0
+    for sft in (FULL, Sft.full(3, 0.4), Sft.golden_mean(0.6)):
+        rng = np.random.default_rng(5)
+        for depth in range(2, 8):
+            f = CylinderFunction(sft, depth,
+                                 rng.uniform(-1, 1, size=len(sft.legal_words(depth))))
+            for n in range(1, depth):
+                reps = [sft.representative(w) for w in sft.legal_words(n)]
+                greedy += sum(bool(x.prefix) for x in reps)
+                proj = cylinder_projection(sft, f, n)
+                assert proj.depth == n
+                assert proj.array.tolist() == [f.evaluate(x) for x in reps]
+    assert greedy > 0  # the golden mean's non-periodic representatives ran
+
+
 # -- growth sequence ----------------------------------------------------------------
 
 def test_rn_stochastic_weights():
@@ -296,6 +312,15 @@ def test_smoothing_random_sample():
     samples = [random_cylinder(rng) for _ in range(100)]
     rep = lipschitz_ly_check(FULL, ws, 3, samples)
     assert min(rep.slacks) >= 0.0
+
+
+def test_smoothing_default_k_is_sandwich_k():
+    ws = [stochastic_weight(0.8), stochastic_weight(0.3)] * 3
+    for n in (2, 4):
+        sandwich = norm_and_ic_bounds(FULL, ws, n, n, n_samples=5)
+        default = lipschitz_ly_check(FULL, ws, n, [CylinderFunction.constant(FULL, 1.0)])
+        assert default.k_constant == sandwich.k_constant
+        assert default.r_n == sandwich.r_n
 
 
 # -- norm and covering-number sandwich --------------------------------------------------
