@@ -32,8 +32,8 @@ print("exponents (rate, multiplicity):", [(round(l, 6), d) for l, d in exps])
 window = driving.sample_window(2300, 120)
 report = oseledets_splitting(gen, None, window, n_past=250, n_future=60)
 print("splitting exponents:", [round(x, 6) for x in report.exponents])
-print("equivariance residuals:", [f"{r:.2e}" for r in report.residuals["equivariance"]])
-print("Cauchy gaps vs half past:", [f"{r:.2e}" for r in report.residuals["cauchy_gap"]])
+print("equivariance residuals:", [f"{r:.2e}" for r in report.equivariance])
+print("Cauchy gaps vs half past:", [f"{r:.2e}" for r in report.cauchy_gap])
 
 print()
 print("=== uniform growth on the top space ===")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -97,12 +97,12 @@ class DrivingSystem:
         rows = self.transition if self.law == "markov" else (self.probs,) * self.alphabet_size
         cdf = np.cumsum([self.probs, *rows], axis=1)
         cdf = (cdf / cdf[:, -1:]).tolist()
-        path, row = [], cdf[0]
-        for u in self.rng(stream).random(n_past + n_future):
-            path.append(bisect_right(row, u))
-            row = cdf[1 + path[-1]]
-        # past[0] is coordinate -1
-        return OmegaWindow(past=tuple(path[:n_past][::-1]), future=tuple(path[n_past:]))
+        seq, row = np.empty(n_past + n_future, dtype=np.intp), cdf[0]
+        for j, u in enumerate(self.rng(stream).random(len(seq))):
+            seq[j] = s = bisect_right(row, u)
+            row = cdf[1 + s]
+        seq.setflags(write=False)
+        return OmegaWindow(seq, n_past)
 
     def sample_windows(self, count: int, n_past: int, n_future: int,
                        start_stream: int = 0) -> list["OmegaWindow"]:
@@ -112,111 +112,104 @@ class DrivingSystem:
     def sample_past_variants(self, count: int, n_past: int, n_future: int,
                              future_stream: int = 0) -> list["OmegaWindow"]:
         """Windows sharing one sampled future but with independent pasts."""
-        future = self.sample_window(0, n_future, stream=future_stream).future
-        out = []
-        for i in range(count):
-            w = self.sample_window(n_past, 0, stream=future_stream + 1 + i)
-            out.append(OmegaWindow(past=w.past, future=future))
-        return out
+        future = self.sample_window(0, n_future, stream=future_stream).seq
+        pasts = (self.sample_window(n_past, 0, stream=future_stream + 1 + i).seq
+                 for i in range(count))
+        return [OmegaWindow(np.concatenate([past, future]), n_past) for past in pasts]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OmegaWindow:
     """A finite window of a two-sided symbol sequence.
 
-    Coordinate 0 is future[0]; coordinate -k (k >= 1) is past[k-1].
+    `seq` is a read-only int array of the symbols at coordinates -n_past,
+    ..., n_future - 1 in order, so coordinate i is seq[n_past + i].
     """
 
-    past: tuple[int, ...]
-    future: tuple[int, ...]
+    seq: np.ndarray
+    n_past: int
 
-    @property
-    def n_past(self) -> int:
-        return len(self.past)
+    def __post_init__(self):
+        seq = np.asarray(self.seq, dtype=np.intp)
+        if seq.flags.writeable:
+            seq = seq.copy()
+            seq.setflags(write=False)
+        if seq.ndim != 1 or not 0 <= self.n_past <= len(seq):
+            raise ValueError("need a 1-d symbol array and 0 <= n_past <= its length")
+        object.__setattr__(self, "seq", seq)
+        object.__setattr__(self, "n_past", int(self.n_past))
 
     @property
     def n_future(self) -> int:
-        return len(self.future)
+        return len(self.seq) - self.n_past
 
-    def symbol(self, i: int) -> int:
-        if i >= 0:
-            if i >= len(self.future):
-                raise WindowTooShort(f"coordinate {i} beyond future length {len(self.future)}")
-            return self.future[i]
-        if -i > len(self.past):
-            raise WindowTooShort(f"coordinate {i} beyond past length {len(self.past)}")
-        return self.past[-i - 1]
+    @property
+    def future(self) -> np.ndarray:
+        """The symbols at coordinates 0, ..., n_future - 1."""
+        return self.seq[self.n_past:]
 
     def symbols(self, start: int, stop: int) -> np.ndarray:
-        """The symbols at coordinates start, ..., stop - 1 as an int array."""
+        """The symbols at coordinates start, ..., stop - 1 as a read-only view;
+        WindowTooShort when a coordinate lies outside the window."""
         if stop > start:
-            self.symbol(start)
-            self.symbol(stop - 1)
-        past = self.past[max(-stop, 0):max(-start, 0)][::-1]
-        future = self.future[max(start, 0):max(stop, 0)]
-        return np.array(past + future, dtype=np.intp)
+            if start < -self.n_past:
+                raise WindowTooShort(f"coordinate {start} beyond past length {self.n_past}")
+            if stop > self.n_future:
+                raise WindowTooShort(
+                    f"coordinate {stop - 1} beyond future length {self.n_future}")
+            return self.seq[self.n_past + start:self.n_past + stop]
+        return self.seq[:0]
+
+    def symbol(self, i: int) -> int:
+        return int(self.symbols(i, i + 1)[0])
 
     def shift(self, k: int = 1) -> "OmegaWindow":
         """The window of the shifted sequence: coordinate i reads old i + k."""
-        if k == 0:
-            return self
-        if k > 0:
-            if k > len(self.future):
-                raise WindowTooShort("cannot shift past the end of the future")
-            moved = self.future[:k]
-            return OmegaWindow(past=tuple(reversed(moved)) + self.past,
-                               future=self.future[k:])
-        k = -k
-        if k > len(self.past):
+        if k > self.n_future:
+            raise WindowTooShort("cannot shift past the end of the future")
+        if -k > self.n_past:
             raise WindowTooShort("cannot shift before the start of the past")
-        moved = tuple(reversed(self.past[:k]))
-        return OmegaWindow(past=self.past[k:], future=moved + self.future)
+        return OmegaWindow(self.seq, self.n_past + k)
 
 
 @dataclass(frozen=True)
 class Generator:
-    """One matrix per driving symbol."""
+    """One matrix per driving symbol, kept as one read-only
+    (alphabet_size, dim, dim) array `stack`; `matrices` are views of it."""
 
     matrices: tuple[np.ndarray, ...]
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mats = []
-        dim = None
-        for a in self.matrices:
-            a = np.array(a, dtype=float, copy=True)
+        mats = [np.array(a, dtype=float) for a in self.matrices]
+        for a in mats:
             if a.ndim != 2 or a.shape[0] != a.shape[1]:
                 raise DimensionMismatch("generator matrices must be square")
             if not np.all(np.isfinite(a)):
                 raise ValueError("generator matrices must have finite entries")
-            if dim is None:
-                dim = a.shape[0]
-            elif a.shape[0] != dim:
+            if a.shape != mats[0].shape:
                 raise DimensionMismatch("generator matrices must share one dimension")
-            a.setflags(write=False)
-            mats.append(a)
-        object.__setattr__(self, "matrices", tuple(mats))
+        stack = np.stack(mats)
+        stack.setflags(write=False)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "matrices", tuple(stack))
 
     @classmethod
     def from_list(cls, matrices: Sequence[np.ndarray]) -> "Generator":
-        return cls(tuple(np.asarray(a, dtype=float) for a in matrices))
+        return cls(tuple(matrices))
 
     @property
     def dim(self) -> int:
-        return self.matrices[0].shape[0]
+        return self.stack.shape[1]
 
     @property
     def alphabet_size(self) -> int:
-        return len(self.matrices)
-
-    @property
-    def stack(self) -> np.ndarray:
-        """The matrices as one (alphabet_size, dim, dim) array."""
-        return np.stack(self.matrices)
+        return len(self.stack)
 
     def matrix(self, symbol: int) -> np.ndarray:
-        if not 0 <= symbol < len(self.matrices):
+        if not 0 <= symbol < len(self.stack):
             raise ValueError(f"symbol {symbol} outside the generator alphabet")
-        return self.matrices[symbol]
+        return self.stack[symbol]
 
 
 @dataclass(frozen=True)
@@ -225,17 +218,20 @@ class SpectrumReport:
 
     exponents/multiplicities describe the resolved blocks in decreasing order.
     `filtration` holds the proper filtration spaces V_2, V_3, ... (V_1 is the
-    whole space); `splitting` holds E_1, ..., E_p.  `residuals` carries the
-    per-block equivariance gaps, convergence (Cauchy) gaps, the self-applied
-    uniqueness values, and the smallest singular value of the concatenated
-    splitting frames.
+    whole space); `splitting` holds E_1, ..., E_p.  The residuals are, per
+    block, the equivariance gaps, the self-applied uniqueness values and the
+    convergence (Cauchy) gaps (empty when not checked), plus the smallest
+    singular value of the concatenated splitting frames.
     """
 
     exponents: tuple[float, ...]
     multiplicities: tuple[int, ...]
     filtration: tuple[Subspace, ...]
     splitting: tuple[Subspace, ...]
-    residuals: Mapping[str, tuple]
+    equivariance: tuple[float, ...]
+    uniqueness_g0: tuple[float, ...]
+    cauchy_gap: tuple[float, ...]
+    direct_sum_min_sv: float
     n_used: int
     n_past_used: int
     gap_tolerance: float = GAP_TOLERANCE
@@ -340,14 +336,18 @@ def _mean_rates(steps: np.ndarray, burn: int = 0) -> np.ndarray:
     return np.cumsum(kept, axis=0)[-1] / len(kept)
 
 
-def _rate_order(rates: np.ndarray) -> np.ndarray:
-    """Stable descending order of per-direction rates.
+def _sorted_columns(q: np.ndarray, steps: np.ndarray,
+                    burn: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The frame `q` with its columns in stable descending order of their mean
+    step rates after `burn` steps, and those sorted rates.
 
     QR passes order columns asymptotically for mixing cocycles, but exactly
     reducible generators (block diagonal) never rotate columns, so the
     accumulated rates must be sorted before block grouping and slicing.
     """
-    return np.argsort(-rates, kind="stable")
+    rates = _mean_rates(steps, burn)
+    order = np.argsort(-rates, kind="stable")
+    return q[:, order], rates[order]
 
 
 def _rate_gap(hi: float, lo: float) -> float:
@@ -415,9 +415,9 @@ def lyapunov_exponents(
         raise WindowTooShort(f"need {n} future symbols, window has {window.n_future}")
     k = gen.dim if m_trunc is None else int(m_trunc)
     burn = _default_burn(n) if burn_in is None else int(burn_in)
-    _, steps, _, _ = _propagate(gen.stack, window.symbols(0, n), np.eye(gen.dim, k))
-    rates = _mean_rates(steps, burn)
-    blocks = _group_blocks(rates[_rate_order(rates)], gap_tolerance)
+    q, steps, _, _ = _propagate(gen.stack, window.symbols(0, n), np.eye(gen.dim, k))
+    _, rates = _sorted_columns(q, steps, burn)
+    blocks = _group_blocks(rates, gap_tolerance)
     return _resolvable(blocks, kappa_estimate, gap_tolerance)
 
 
@@ -462,9 +462,7 @@ def forward_filtration(
         raise WindowTooShort(f"need {n} future symbols, window has {window.n_future}")
     burn = _default_burn(n) if burn_in is None else int(burn_in)
     w, steps, _, _ = _propagate(gen.stack, window.symbols(0, n), reverse=True)
-    rates = _mean_rates(steps, burn)
-    order = _rate_order(rates)
-    w, rates = w[:, order], rates[order]
+    w, rates = _sorted_columns(w, steps, burn)
     m = gen.dim
     ends = []
     c = 0
@@ -562,6 +560,7 @@ def oseledets_splitting(
     n_total = n_past + n_future
     burn = _default_burn(n_total) if burn_in is None else int(burn_in)
     half = n_past // 2
+    t_half, t1 = n_future + half, max(n_future - 1, 0)
     mats = gen.stack
 
     # One reverse pass over [-n_past, n_future) gives the spectrum, and its
@@ -570,17 +569,10 @@ def oseledets_splitting(
     # (pushed forward for the Cauchy check), 0 and 1 (the filtrations).
     _, steps, rev, _ = _propagate(
         mats, window.symbols(-n_past, n_future), reverse=True,
-        record={n_total, n_future + half, n_future, max(n_future - 1, 0)})
-
-    def sorted_frame(t, burn_t=0):
-        # the frame after t steps, columns sorted by their mean rates
-        rates_t = _mean_rates(steps[:t], burn_t)
-        order = _rate_order(rates_t)
-        return rev[t][:, order], rates_t[order]
+        record={n_total, t_half, n_future, t1})
 
     # spectrum from the full-window product
-    rates = _mean_rates(steps, burn)
-    rates = rates[_rate_order(rates)]
+    _, rates = _sorted_columns(rev[n_total], steps, burn)
     blocks = _group_blocks(rates, gap_tolerance)
     blocks = _resolvable(blocks, kappa_estimate, gap_tolerance)
     if not blocks:
@@ -591,12 +583,12 @@ def oseledets_splitting(
     p = len(blocks)
 
     # filtration frames at coordinates 0 and 1
-    w0, r0rates = sorted_frame(n_future)
-    w1, _ = sorted_frame(max(n_future - 1, 0))
+    w0, r0rates = _sorted_columns(rev[n_future], steps[:n_future])
+    w1, _ = _sorted_columns(rev[t1], steps[:t1])
     _check_block_boundaries(r0rates, ends + [m], gap_tolerance, n_future)
 
     # fast frames at coordinates 0 and 1 (push-forward of far-past directions)
-    u_far, _ = sorted_frame(n_total, _default_burn(n_total))
+    u_far, _ = _sorted_columns(rev[n_total], steps, _default_burn(n_total))
     _, _, fw, _ = _propagate(mats, window.symbols(-n_past, 1), u_far,
                              record={n_past, n_past + 1})
     q0, q1 = fw[n_past], fw[n_past + 1]
@@ -640,7 +632,7 @@ def oseledets_splitting(
     # convergence (Cauchy) gaps against half the past length
     cauchy = []
     if check_convergence and n_past >= 2:
-        u_half, _ = sorted_frame(n_future + half, _default_burn(n_future + half))
+        u_half, _ = _sorted_columns(rev[t_half], steps[:t_half], _default_burn(t_half))
         q_half = _propagate(mats, window.symbols(-half, 0), u_half)[0]
         for e_full, e_half in zip(splitting, blockwise(q_half, w0)):
             cauchy.append(gap(e_full, e_half))
@@ -654,18 +646,15 @@ def oseledets_splitting(
         frames.append(w0[:, ends[-1]:])
     min_sv = float(np.linalg.svd(np.hstack(frames), compute_uv=False)[-1])
 
-    residuals = {
-        "equivariance": tuple(equiv),
-        "uniqueness_g0": tuple(g0),
-        "cauchy_gap": tuple(cauchy),
-        "direct_sum_min_sv": (min_sv,),
-    }
     return SpectrumReport(
         exponents=exponents,
         multiplicities=mults,
         filtration=filtration,
         splitting=tuple(splitting),
-        residuals=residuals,
+        equivariance=tuple(equiv),
+        uniqueness_g0=tuple(g0),
+        cauchy_gap=tuple(cauchy),
+        direct_sum_min_sv=min_sv,
         n_used=n_future,
         n_past_used=n_past,
         gap_tolerance=gap_tolerance,
@@ -740,7 +729,7 @@ def backward_decay_check(
     # triangular one-step factors on the fast sum are recorded
     mats, symbols = gen.stack, window.symbols(start, 0)
     u_far, steps, _, _ = _propagate(mats, symbols, reverse=True)
-    q = u_far[:, _rate_order(_mean_rates(steps, min(burn, len(symbols) // 2)))][:, :c_i]
+    q = _sorted_columns(u_far, steps, min(burn, len(symbols) // 2))[0][:, :c_i]
     q, _, _, r_blocks = _propagate(mats, symbols, q, keep_r=True)
     r_blocks = r_blocks[burn:]
     # q now spans the fast sum at coordinate 0
@@ -815,7 +804,7 @@ def uniqueness_diagnostic(
     # filtration frames at coordinates k = 0..n (after n + tail - k steps)
     _, steps, rev, _ = _propagate(mats, window.symbols(-n_past, n + tail), reverse=True,
                                   record={n_total, *range(tail, n + tail + 1)})
-    u_far = rev[n_total][:, _rate_order(_mean_rates(steps, _default_burn(n_total)))]
+    u_far, _ = _sorted_columns(rev[n_total], steps, _default_burn(n_total))
     _, _, fw, _ = _propagate(mats, window.symbols(-n_past, n), u_far,
                              record=range(n_past, n_past + n + 1))
     # the candidate's pushes; a step collapses it when its smallest
@@ -829,7 +818,7 @@ def uniqueness_diagnostic(
     for k in range(n + 1):
         qk = fw[n_past + k]
         t = n + tail - k
-        wk = rev[t][:, _rate_order(_mean_rates(steps[:t]))]
+        wk, _ = _sorted_columns(rev[t], steps[:t])
         cand = cands[k]
         fast = Subspace(qk[:, :c_i])
         slow = Subspace(wk[:, c_i:])
@@ -883,8 +872,7 @@ def noncommuting_base_demo(
             raise ValueError("generators must be invertible")
     gen = Generator.from_list([a0, a1])
     commutator = float(np.linalg.norm(a0 @ a1 - a1 @ a0))
-    futures = {w.future for w in pasts}
-    if len(futures) != 1:
+    if not pasts or any(not np.array_equal(w.future, pasts[0].future) for w in pasts):
         raise ValueError("windows must share a common future")
 
     mats = gen.stack

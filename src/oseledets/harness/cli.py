@@ -96,7 +96,6 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "lemma-suite":
             record = run_lemma_suite(args.seed, verbose=True)
-            record["error"] = "" if record["status"] == "ok" else "LemmaFailure"
             _write_or_print([record], args.out)
             return EXIT_OK if record["status"] == "ok" else EXIT_NUMERIC
     except ConfigError as exc:

@@ -183,20 +183,23 @@ def validate_config(cfg: RunConfig) -> None:
                 raise ConfigError(f"counterexample needs system.{key}")
 
 
-def build_driving(cfg: RunConfig, size_hint: int | None = None):
+def build_driving(cfg: RunConfig, n_symbols: int):
+    """The configured driving law over the system's `n_symbols` symbols
+    (uniform i.i.d. by default); a law of another size is a ConfigError."""
     from ..cocycle import DrivingSystem
 
-    law = cfg.driving.get("law", "iid")
-    if law == "markov":
+    if cfg.driving.get("law", "iid") == "markov":
         if "transition" not in cfg.driving:
             raise ConfigError("markov driving needs a transition matrix")
         t = parse_matrix(cfg.driving["transition"])
+        if np.shape(t) != (n_symbols, n_symbols):
+            raise ConfigError(f"the transition matrix must be {n_symbols}x{n_symbols}: "
+                              f"the system has {n_symbols} symbols")
         return DrivingSystem.markov(t, seed=cfg.seed)
-    if "probs" in cfg.driving:
-        probs = parse_vector(cfg.driving["probs"])
-    elif size_hint:
-        probs = [1.0 / size_hint] * size_hint
-    else:
-        raise ConfigError("cannot infer driving law size")
+    probs = (parse_vector(cfg.driving["probs"]) if "probs" in cfg.driving
+             else [1.0 / n_symbols] * n_symbols)
+    if len(probs) != n_symbols:
+        raise ConfigError(f"probs has {len(probs)} entries: "
+                          f"the system has {n_symbols} symbols")
     arr = np.asarray(probs)
     return DrivingSystem.iid(arr / arr.sum(), seed=cfg.seed)

@@ -218,4 +218,5 @@ def run_lemma_suite(seed: int, verbose: bool = False) -> dict:
             print(f"[lemma-suite] {name}: {'PASS' if ok else 'FAIL'} "
                   f"(measured {measured:.3e})")
     record["status"] = "ok" if all_ok else "fail"
+    record["error"] = "" if all_ok else "LemmaFailure"
     return record

@@ -52,7 +52,7 @@ def run_cocycle(cfg: RunConfig) -> dict:
         raise ConfigError("cocycle run needs system.matrices")
     mats = parse_matrices(cfg.system["matrices"])
     gen = cc.Generator.from_list([np.asarray(m) for m in mats])
-    driving = build_driving(cfg, size_hint=len(mats))
+    driving = build_driving(cfg, len(mats))
     n_past = cfg.numeric("n_past", 200, int)
     n_future = cfg.numeric("n_future", 50, int)
     n = cfg.numeric("n", 10_000, int)
@@ -75,11 +75,11 @@ def run_cocycle(cfg: RunConfig) -> dict:
         "multiplicities": [d for _, d in exps],
         "lambda1": exps[0][0],
         "splitting_exponents": list(report.exponents),
-        "equivariance_residuals": list(report.residuals["equivariance"]),
-        "cauchy_gaps": list(report.residuals["cauchy_gap"]),
-        "uniqueness_g0": list(report.residuals["uniqueness_g0"]),
+        "equivariance_residuals": list(report.equivariance),
+        "cauchy_gaps": list(report.cauchy_gap),
+        "uniqueness_g0": list(report.uniqueness_g0),
         "g_decay": g_decay,
-        "direct_sum_min_sv": report.residuals["direct_sum_min_sv"][0],
+        "direct_sum_min_sv": report.direct_sum_min_sv,
     }
 
 
@@ -103,7 +103,7 @@ def _g_decay_series(gen, window, report, g_len) -> list[float]:
 
 def run_interval(cfg: RunConfig) -> dict:
     maps = _build_maps(cfg)
-    driving = build_driving(cfg, size_hint=len(maps))
+    driving = build_driving(cfg, len(maps))
     sys = iv.RandomIntervalSystem(tuple(maps), driving)
     k = cfg.numeric("k", 64, int)
     n_past = cfg.numeric("n_past", 200, int)
@@ -139,7 +139,7 @@ def run_sft(cfg: RunConfig) -> dict:
     if "amplitudes" not in cfg.system:
         raise ConfigError("sft run needs system.amplitudes")
     amps = parse_vector(cfg.system["amplitudes"])
-    driving = build_driving(cfg, size_hint=len(amps))
+    driving = build_driving(cfg, len(amps))
     n = cfg.numeric("n", 100_000, int)
     example = sf.antisymmetric_example(amps, driving, theta=theta, n=n)
     n_ic = cfg.numeric("n_ic", 3, int)
@@ -181,7 +181,7 @@ def run_sft(cfg: RunConfig) -> dict:
 def run_counterexample(cfg: RunConfig) -> dict:
     a0 = np.asarray(parse_matrix(cfg.system["a0"]))
     a1 = np.asarray(parse_matrix(cfg.system["a1"]))
-    driving = build_driving(cfg, size_hint=2)
+    driving = build_driving(cfg, 2)
     n_pairs = cfg.numeric("n_pairs", 50, int)
     past_length = cfg.numeric("past_length", 100, int)
     future_length = cfg.numeric("future_length", 20, int)
@@ -215,14 +215,11 @@ def run(cfg: RunConfig) -> dict:
     try:
         if cfg.kind == "lemma-suite":
             record = lemmas.run_lemma_suite(cfg.seed)
-            record.update(base)
-            record.setdefault("status", "ok")
-            record.setdefault("error", "")
         else:
             record = RUNNERS[cfg.kind](cfg)
-            record.update(base)
             record["status"] = "ok"
             record["error"] = ""
+        record.update(base)
     except NumericalFailure as exc:
         record = dict(base)
         record["status"] = "error"

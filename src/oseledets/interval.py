@@ -510,8 +510,7 @@ def chi_estimate(sys: RandomIntervalSystem, n: int, samples: int = 8,
     log_a = np.array([-np.log(t.essinf_derivative()) for t in sys.maps])
     vals = []
     for s in range(samples):
-        w = sys.driving.sample_window(0, n, stream=stream + s)
-        word = np.asarray(w.future)
+        word = sys.driving.sample_window(0, n, stream=stream + s).future
         vals.append(float(np.mean(log_a[word])))
     mean = float(np.mean(vals))
     chi = float(np.exp(mean))
@@ -650,7 +649,7 @@ def essrad_sandwich_check(
 
     Raises PreconditionANotLessThan1 unless a_n < 1.
     """
-    word = [window.symbol(j) for j in range(n)]
+    word = window.symbols(0, n).tolist()
     comp = compose_word(sys.maps, word)
     a_n = 1.0 / comp.essinf_derivative()
     if not a_n < 1.0:

@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse import csr_matrix
 
 from . import cocycle as _cocycle
 from .errors import (
@@ -73,10 +71,13 @@ class Sft:
 
     @property
     def irreducible(self) -> bool:
+        """Every symbol reaches every other: the reachability closure of the
+        transition graph, (I + T) squared until it stops changing, is full."""
         if "irreducible" not in self._cache:
-            n, _ = connected_components(csr_matrix(self.transitions),
-                                        directed=True, connection="strong")
-            self._cache["irreducible"] = bool(n == 1)
+            reach = np.eye(self.n_symbols, dtype=bool) | (self.transitions == 1)
+            while not np.array_equal(reach, closer := reach @ reach):
+                reach = closer
+            self._cache["irreducible"] = bool(reach.all())
         return self._cache["irreducible"]
 
     def legal(self, a: int, b: int) -> bool:

@@ -52,11 +52,11 @@ def test_criterion_1_closed_form_exponents():
 
 def test_criterion_2_splitting_solvable():
     gen = cc.Generator.from_list([np.array([[2.0, 1.0], [0.0, 0.5]])])
-    window = cc.OmegaWindow(past=(0,) * 200, future=(0,) * 50)
+    window = cc.OmegaWindow(np.zeros(250, dtype=int), 200)
     rep = cc.oseledets_splitting(gen, None, window, n_past=200, n_future=50)
     ok = (gap(rep.splitting[0], Subspace.span([1.0, 0.0])) <= 1e-8 and
           gap(rep.splitting[1], Subspace.span([2.0, -3.0])) <= 1e-8 and
-          max(rep.residuals["equivariance"]) <= 1e-6)
+          max(rep.equivariance) <= 1e-6)
     _report(2, "splitting matches eigen-solvable case with equivariance <= 1e-6", ok)
 
 
@@ -64,7 +64,7 @@ def test_criterion_2_splitting_solvable():
 
 def test_criterion_3_uniqueness_diagnostic():
     gen = cc.Generator.from_list([np.diag([2.0, 0.5])])
-    window = cc.OmegaWindow(past=(0,) * 300, future=(0,) * 120)
+    window = cc.OmegaWindow(np.zeros(420, dtype=int), 300)
     rep = cc.oseledets_splitting(gen, None, window, n_past=200, n_future=50)
     own = cc.uniqueness_diagnostic(gen, None, window, rep.splitting[0], rep, 1, 25)
     tilted = Subspace.span([1.0, 0.4])

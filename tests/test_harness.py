@@ -6,6 +6,7 @@ import pytest
 
 from oseledets import sft as sf
 from oseledets.errors import ConfigError, UnknownField
+from oseledets.harness import lemmas
 from oseledets.harness import records as rec
 from oseledets.harness import runner
 from oseledets.harness.cli import main
@@ -352,6 +353,36 @@ def test_cli_lemma_suite(tmp_path):
     assert loaded[0]["status"] == "ok"
 
 
+def test_cli_lemma_failure_is_named(tmp_path, monkeypatch, capsys):
+    # `lemma-suite` and `run` on a lemma-suite config name the same failure
+    monkeypatch.setattr(lemmas, "ALL_CHECKS", {"always_fails": lambda seed: (False, 1.0)})
+    suite_out = str(tmp_path / "suite.ndjson")
+    assert main(["lemma-suite", "--seed", "1", "--out", suite_out]) == 3
+    run_out = str(tmp_path / "run.ndjson")
+    cfg_path = write_cfg(tmp_path, "[run]\nkind = lemma-suite\nseed = 1\n")
+    assert main(["run", "--config", cfg_path, "--out", run_out]) == 3
+    assert "numerical failure: LemmaFailure" in capsys.readouterr().err
+    for path in (suite_out, run_out):
+        record = rec.read_records(path)[0]
+        assert (record["status"], record["error"]) == ("fail", "LemmaFailure")
+        assert record["always_fails_pass"] is False
+
+
+@pytest.mark.parametrize("text", [
+    # three i.i.d. probabilities for two matrices
+    COCYCLE_CFG.replace("[[2, 0], [0, 0.5]]", "[[2, 0], [0, 0.5]] ; [[3, 0], [0, 0.25]]")
+    + "\n[driving]\nprobs = 0.2, 0.3, 0.5\n",
+    # a two-state Markov law for three maps
+    INTERVAL_CFG.replace("maps = doubling", "maps = doubling, tripling, tent")
+    + "\n[driving]\nlaw = markov\ntransition = [[0.9, 0.1], [0.2, 0.8]]\n",
+], ids=["iid", "markov"])
+def test_cli_driving_size_mismatch_is_config_error(tmp_path, capsys, text):
+    out_path = tmp_path / "rec.ndjson"
+    assert main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out_path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_console_entry_point(tmp_path):
     cfg_path = write_cfg(tmp_path, INTERVAL_CFG)
     proc = subprocess.run(
@@ -363,12 +394,25 @@ def test_console_entry_point(tmp_path):
     assert record["status"] == "ok"
 
 
-def test_cli_import_skips_scipy_optimize():
-    # scipy.optimize is most of the CLI's import time; only non-affine
-    # interval branches need it, and they import it on first use
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, oseledets.harness.cli; print('scipy.optimize' in sys.modules)"],
-        capture_output=True, text=True)
+def test_cli_import_skips_scipy_optimize(tmp_path):
+    # scipy is most of the CLI's import time; only non-affine interval
+    # branches and backward_decay_check need it, and they import it on first
+    # use.  Neither the CLI import nor a cocycle, affine-interval or sft run
+    # loads any scipy module.
+    paths = [write_cfg(tmp_path, text, name=f"{i}.cfg")
+             for i, text in enumerate((COCYCLE_CFG, INTERVAL_CFG, SFT_CFG))]
+    script = (
+        "import sys\n"
+        "import oseledets.harness.cli\n"
+        "from oseledets.harness import runner\n"
+        "from oseledets.harness.config import load_config\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(loaded())\n"
+        "for path in sys.argv[1:]:\n"
+        "    assert runner.run(load_config(path))['status'] == 'ok', path\n"
+        "    print(loaded())\n")
+    proc = subprocess.run([sys.executable, "-c", script, *paths],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split("\n") == ["[]"] * 4 + [""]

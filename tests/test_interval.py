@@ -327,9 +327,9 @@ def test_acim_splitting_certified_by_uniqueness_diagnostic():
     assert rep.chi < 1.0
     assert rep.kappa_star == pytest.approx(np.log(rep.chi)) and rep.kappa_star < 0
     # the splitting converged and its own blocks sit in the projection kernel
-    assert max(rep.report.residuals["cauchy_gap"]) <= 1e-6
-    assert max(rep.report.residuals["uniqueness_g0"]) <= 1e-8
-    assert max(rep.report.residuals["equivariance"]) <= 1e-6
+    assert max(rep.report.cauchy_gap) <= 1e-6
+    assert max(rep.report.uniqueness_g0) <= 1e-8
+    assert max(rep.report.equivariance) <= 1e-6
 
 
 def test_acim_requires_expansion():

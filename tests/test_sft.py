@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -165,7 +167,7 @@ def test_iterated_transfer_matches_matrix_cocycle():
     rng = np.random.default_rng(2)
     weights = [Weight(FULL, 2, rng.uniform(0.2, 1.0, size=4)) for _ in range(3)]
     gen = weight_generator(FULL, weights)
-    w = cc.OmegaWindow(past=(), future=(0, 1, 2))
+    w = cc.OmegaWindow((0, 1, 2), 0)
     f = CylinderFunction(FULL, 1, rng.uniform(-1, 1, size=2))
     via_ops = transfer_apply_word(FULL, weights, f, 3)
     via_mats = cc.compose(gen, w, 3) @ f.array
@@ -360,6 +362,37 @@ def test_sandwich_needs_irreducible():
     ws = [Weight(reducible, 1, np.array([0.5, 0.5]))] * 3
     with pytest.raises(NotIrreducible):
         norm_and_ic_bounds(reducible, ws, 2, 2, n_samples=5)
+
+
+def _valid_shifts():
+    # every 0/1 transition matrix on 1..3 symbols with no empty row or column
+    for n in (1, 2, 3):
+        for bits in itertools.product((0, 1), repeat=n * n):
+            t = np.array(bits, dtype=np.int8).reshape(n, n)
+            if t.sum(axis=0).all() and t.sum(axis=1).all():
+                yield t
+    # seeded random shifts on 4..8 symbols; the permutation keeps them valid
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        n = int(rng.integers(4, 9))
+        t = rng.random((n, n)) < rng.uniform(0.05, 0.5)
+        t[np.arange(n), rng.permutation(n)] = True
+        yield t.astype(np.int8)
+
+
+def test_irreducible_matches_strong_components():
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    shifts = list(_valid_shifts())
+    assert len(shifts) == 273 + 300
+    seen = set()
+    for t in shifts:
+        n_comp, _ = connected_components(csr_matrix(t), directed=True, connection="strong")
+        got = Sft(len(t), t, 0.5).irreducible
+        assert got == (n_comp == 1), t
+        seen.add((len(t) > 3, got))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 # -- the antisymmetric family -----------------------------------------------------------
