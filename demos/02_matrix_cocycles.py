@@ -37,23 +37,23 @@ print("Cauchy gaps vs half past:", [f"{r:.2e}" for r in report.cauchy_gap])
 
 print()
 print("=== uniform growth on the top space ===")
-lo, hi = uniform_growth_check(gen, None, window, report.splitting[0], 100)
+lo, hi = uniform_growth_check(gen, window, report.splitting[0], 100)
 print(f"min/max growth over the unit sphere of E_1: {lo:.6f} / {hi:.6f} "
       f"(top exponent {report.exponents[0]:.6f})")
 
 print()
 print("=== backward decay along a full orbit in E_1 ===")
-rate = backward_decay_check(gen, None, window, report, 1, 2000)
+rate = backward_decay_check(gen, window, report, 1, 2000)
 print(f"fitted (1/n) log ||v_-n|| = {rate:.6f}, expected "
       f"{-report.exponents[0]:.6f}")
 
 print()
 print("=== the uniqueness decay series ===")
-own = uniqueness_diagnostic(gen, None, window, report.splitting[0], report, 1, 20)
+own = uniqueness_diagnostic(gen, window, report.splitting[0], report, 1, 20)
 print(f"candidate = the splitting's own block: max g = {own.max():.2e}")
 tilted = Subspace.from_spanning(
     report.splitting[0].frame + 0.3 * report.splitting[1].frame)
-series = uniqueness_diagnostic(gen, None, window, tilted, report, 1, 20)
+series = uniqueness_diagnostic(gen, window, tilted, report, 1, 20)
 mask = series > 1e-14
 slope = np.polyfit(np.arange(21)[mask], np.log(series[mask]), 1)[0]
 print(f"perturbed candidate: fitted decay slope {slope:.4f}, "

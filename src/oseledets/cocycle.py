@@ -32,7 +32,6 @@ from .grassmann import Subspace, gap, project_along
 
 GAP_TOLERANCE = 1e-3
 CONVERGENCE_TOLERANCE = 1e-6
-INTERSECTION_TOL = 1e-8
 RESOLVABLE_FLOOR = -690.0  # per-step rates below exp underflow are unresolvable
 
 
@@ -479,39 +478,6 @@ def forward_filtration(
     return out
 
 
-def subspace_intersection(a: Subspace, b: Subspace, *, expected_dim: int | None = None,
-                          tol: float = INTERSECTION_TOL) -> Subspace:
-    """Intersection of two subspaces via null vectors of the concatenated frames."""
-    if a.m != b.m:
-        raise DimensionMismatch("ambient dimensions differ")
-    concat = np.hstack([a.frame, b.frame])
-    _, s, vt = np.linalg.svd(concat)
-    null = np.where(s < tol)[0] if len(s) == concat.shape[1] else np.array([], dtype=int)
-    k = concat.shape[1] - a.m
-    if k > 0:
-        # dimensions force at least k null directions
-        null = np.union1d(null, np.arange(len(s), concat.shape[1]))
-    if expected_dim is not None:
-        if len(null) < expected_dim:
-            # fall back to the smallest singular directions, but only if they
-            # are separated from the rest
-            order = np.arange(concat.shape[1] - expected_dim, concat.shape[1])
-            upper = s[order[0] - 1] if order[0] >= 1 else np.inf
-            lower = s[order[0]] if order[0] < len(s) else 0.0
-            if not (lower < tol and upper >= tol):
-                raise NonConvergence(
-                    f"intersection dimension not resolved: expected {expected_dim}, "
-                    f"singular values {s}")
-            null = order
-        else:
-            null = np.arange(concat.shape[1] - expected_dim, concat.shape[1])
-    if len(null) == 0:
-        raise NonConvergence("subspaces intersect trivially at tolerance")
-    coeff = vt[null, : a.d].T
-    vecs = a.frame @ coeff
-    return Subspace.from_spanning(vecs)
-
-
 def _orthonormal_image(matrix: np.ndarray, sub: Subspace) -> Subspace | None:
     y = matrix @ sub.frame
     q, r = _qr_pos(y)
@@ -594,16 +560,13 @@ def oseledets_splitting(
     q0, q1 = fw[n_past], fw[n_past + 1]
 
     def blockwise(qf, wf):
+        # E_i = span(Q_{c_i}) ∩ V_i, where V_i is the orthogonal complement of
+        # W_{:c_{i-1}}: Q_{c_i} times the last d_i right singular vectors of
+        # W_{:c_{i-1}}^T Q_{c_i} (the identity when that matrix is empty, i = 1)
         spaces = []
-        for i in range(p):
-            c_i, c_prev = ends[i], (0 if i == 0 else ends[i - 1])
-            fast = Subspace(qf[:, :c_i])
-            if c_prev == 0:
-                spaces.append(Subspace(qf[:, :c_i]))
-            else:
-                v_i = Subspace(wf[:, c_prev:])
-                spaces.append(subspace_intersection(fast, v_i,
-                                                    expected_dim=mults[i]))
+        for c_prev, c_i in zip([0, *ends[:-1]], ends):
+            vt = np.linalg.svd(wf[:, :c_prev].T @ qf[:, :c_i])[2]
+            spaces.append(Subspace(qf[:, :c_i] @ vt[c_prev:].T))
         return spaces
 
     splitting = blockwise(q0, w0)
@@ -667,7 +630,6 @@ def oseledets_splitting(
 
 def uniform_growth_check(
     gen: Generator,
-    driving: DrivingSystem | None,
     window: OmegaWindow,
     e: Subspace,
     n: int,
@@ -698,7 +660,6 @@ def uniform_growth_check(
 
 def backward_decay_check(
     gen: Generator,
-    driving: DrivingSystem | None,
     window: OmegaWindow,
     report: SpectrumReport,
     i: int,
@@ -767,7 +728,6 @@ def backward_decay_check(
 
 def uniqueness_diagnostic(
     gen: Generator,
-    driving: DrivingSystem | None,
     window: OmegaWindow,
     candidate: Subspace,
     report: SpectrumReport,

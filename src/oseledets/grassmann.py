@@ -19,7 +19,6 @@ from .errors import ConditioningFailure, DegenerateSum, DimensionMismatch
 ORTHONORMAL_TOL = 1e-12
 IDEMPOTENCE_TOL = 1e-10
 DIRECT_SUM_MIN_SV = 1e-10
-EQUALITY_GAP = 1e-8
 
 NormTag = Literal["euclidean", "sup", "one"]
 
@@ -34,9 +33,8 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
 class Subspace:
     """A d-dimensional subspace of R^m, stored as an m-by-d orthonormal frame.
 
-    The frame is unique only up to right rotation; equality of subspaces is
-    tested through :func:`gap` (two subspaces are considered equal when their
-    gap is below 1e-8).
+    The frame is unique only up to right rotation, so subspaces are compared
+    through :func:`gap`.
     """
 
     frame: np.ndarray
@@ -86,15 +84,6 @@ class Subspace:
             return True
         resid = v - self.frame @ (self.frame.T @ v)
         return float(np.linalg.norm(resid)) <= tol * nv
-
-    def orthogonal_complement(self) -> "Subspace":
-        if self.d == self.m:
-            raise DimensionMismatch("the full space has no nontrivial complement")
-        u, _, _ = np.linalg.svd(self.frame, full_matrices=True)
-        return Subspace(u[:, self.d:])
-
-    def isclose(self, other: "Subspace", tol: float = EQUALITY_GAP) -> bool:
-        return gap(self, other) <= tol
 
 
 @dataclass(frozen=True)

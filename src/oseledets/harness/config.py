@@ -43,6 +43,10 @@ import numpy as np
 from ..errors import ConfigError
 
 KINDS = ("cocycle", "interval", "sft", "counterexample", "lemma-suite")
+# smallest allowed value of each integer count in [numerics]
+COUNT_MINIMA = {"n": 1, "k": 1, "n_ic": 1, "m_proj": 1, "n_pairs": 1, "ly_samples": 1,
+                "n_past": 0, "n_future": 0, "g_len": 0, "ic_samples": 0,
+                "past_length": 0, "future_length": 0}
 
 
 def parse_vector(text: str) -> list[float]:
@@ -162,6 +166,9 @@ def validate_config(cfg: RunConfig) -> None:
                 raise ConfigError(f"bad tolerance {key}") from exc
             if not val > 0:
                 raise ConfigError(f"tolerance {key} must be positive")
+    for key, low in COUNT_MINIMA.items():
+        if cfg.numeric(key, low, int) < low:
+            raise ConfigError(f"{key} must be at least {low}")
     if "theta" in cfg.system:
         try:
             theta = float(cfg.system["theta"])
@@ -177,6 +184,12 @@ def validate_config(cfg: RunConfig) -> None:
             probs = parse_vector(cfg.driving["probs"])
             if any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
                 raise ConfigError("probs must be nonnegative and sum to 1")
+        if law == "markov" and "transition" in cfg.driving:
+            rows = parse_matrix(cfg.driving["transition"])
+            if any(p < 0 for row in rows for p in row) or any(
+                    abs(sum(row) - 1.0) > 1e-9 for row in rows):
+                raise ConfigError("transition entries must be nonnegative "
+                                  "and each row must sum to 1")
     if cfg.kind == "counterexample":
         for key in ("a0", "a1"):
             if key not in cfg.system:
@@ -191,11 +204,11 @@ def build_driving(cfg: RunConfig, n_symbols: int):
     if cfg.driving.get("law", "iid") == "markov":
         if "transition" not in cfg.driving:
             raise ConfigError("markov driving needs a transition matrix")
-        t = parse_matrix(cfg.driving["transition"])
-        if np.shape(t) != (n_symbols, n_symbols):
+        t = np.asarray(parse_matrix(cfg.driving["transition"]))
+        if t.shape != (n_symbols, n_symbols):
             raise ConfigError(f"the transition matrix must be {n_symbols}x{n_symbols}: "
                               f"the system has {n_symbols} symbols")
-        return DrivingSystem.markov(t, seed=cfg.seed)
+        return DrivingSystem.markov(t / t.sum(axis=1, keepdims=True), seed=cfg.seed)
     probs = (parse_vector(cfg.driving["probs"]) if "probs" in cfg.driving
              else [1.0 / n_symbols] * n_symbols)
     if len(probs) != n_symbols:

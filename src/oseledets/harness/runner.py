@@ -14,7 +14,14 @@ from .. import interval as iv
 from .. import sft as sf
 from ..errors import ConfigError, NumericalFailure
 from . import lemmas
-from .config import RunConfig, build_driving, parse_matrices, parse_matrix, parse_vector
+from .config import (
+    RunConfig,
+    build_driving,
+    parse_matrices,
+    parse_matrix,
+    parse_vector,
+    validate_config,
+)
 
 MAP_PRESETS = {
     "doubling": iv.doubling_map,
@@ -94,8 +101,7 @@ def _g_decay_series(gen, window, report, g_len) -> list[float]:
     frame[:, 0] = frame[:, 0] + 0.25 * v2.frame[:, 0]
     try:
         candidate = _grassmann.Subspace.from_spanning(frame)
-        series = cc.uniqueness_diagnostic(gen, None, window, candidate,
-                                          report, 1, g_len)
+        series = cc.uniqueness_diagnostic(gen, window, candidate, report, 1, g_len)
     except NumericalFailure:
         return []
     return [float(v) for v in series]
@@ -259,6 +265,7 @@ def _apply_point(cfg: RunConfig, point: dict[str, str], index: int) -> RunConfig
             out.driving[name] = value
         else:
             raise ConfigError(f"unknown grid section {section!r}")
+    validate_config(out)
     return out
 
 
@@ -270,9 +277,10 @@ def sweep(cfg: RunConfig, grid: list[tuple[str, list[str]]]) -> list[dict]:
     keys = [k for k, _ in grid]
     points = [dict(zip(keys, combo))
               for combo in itertools.product(*[vals for _, vals in grid])]
+    configs = [_apply_point(cfg, point, i) for i, point in enumerate(points)]
     records = []
-    for i, point in enumerate(points):
-        record = run(_apply_point(cfg, point, i))
+    for i, (point, point_cfg) in enumerate(zip(points, configs)):
+        record = run(point_cfg)
         record["sweep_index"] = i
         for key, value in point.items():
             record[f"grid_{key.replace('.', '_')}"] = value

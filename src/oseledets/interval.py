@@ -326,10 +326,6 @@ class BVFunction:
     def bv_norm(self) -> float:
         return max(self.l1_norm(), self.variation())
 
-    def sup_bound(self) -> float:
-        return float(max(np.max(np.abs(self.left_values)),
-                         np.max(np.abs(self.right_values))))
-
     # -- algebra ------------------------------------------------------------
 
     def _merged_breakpoints(self, other: "BVFunction") -> np.ndarray:

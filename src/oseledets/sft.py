@@ -80,9 +80,6 @@ class Sft:
             self._cache["irreducible"] = bool(reach.all())
         return self._cache["irreducible"]
 
-    def legal(self, a: int, b: int) -> bool:
-        return bool(self.transitions[a, b])
-
     def legal_words(self, depth: int) -> list[Word]:
         key = ("words", depth)
         if key in self._cache:
@@ -201,13 +198,6 @@ class Point:
 
     def head(self, n: int) -> Word:
         return tuple(self.symbol(i) for i in range(n))
-
-    def shift(self) -> "Point":
-        if self.prefix:
-            return Point(self.sft, self.prefix[1:], self.cycle)
-        if len(self.cycle) == 1:
-            return self
-        return Point(self.sft, (), self.cycle[1:] + self.cycle[:1])
 
 
 def d_theta(x: Point, y: Point) -> float:
@@ -365,9 +355,6 @@ class CylinderFunction:
         return CylinderFunction(self.sft, self.depth, self.array * float(c))
 
     __rmul__ = __mul__
-
-    def isclose(self, other: "CylinderFunction", tol: float = 1e-12) -> bool:
-        return (self - other).sup_norm() <= tol
 
 
 class Weight(CylinderFunction):

@@ -66,9 +66,9 @@ def test_criterion_3_uniqueness_diagnostic():
     gen = cc.Generator.from_list([np.diag([2.0, 0.5])])
     window = cc.OmegaWindow(np.zeros(420, dtype=int), 300)
     rep = cc.oseledets_splitting(gen, None, window, n_past=200, n_future=50)
-    own = cc.uniqueness_diagnostic(gen, None, window, rep.splitting[0], rep, 1, 25)
+    own = cc.uniqueness_diagnostic(gen, window, rep.splitting[0], rep, 1, 25)
     tilted = Subspace.span([1.0, 0.4])
-    series = cc.uniqueness_diagnostic(gen, None, window, tilted, rep, 1, 25)
+    series = cc.uniqueness_diagnostic(gen, window, tilted, rep, 1, 25)
     mask = series > 1e-13
     slope = np.polyfit(np.arange(26)[mask], np.log(series[mask]), 1)[0]
     expected = -(rep.exponents[0] - rep.exponents[1])
@@ -85,8 +85,8 @@ def test_criterion_4_backward_rates():
     n = 10_000
     window = drv.sample_window(n + 300, 60)
     rep = cc.oseledets_splitting(gen, None, window, n_past=250, n_future=50)
-    rate1 = cc.backward_decay_check(gen, None, window, rep, 1, n)
-    rate2 = cc.backward_decay_check(gen, None, window, rep, 2, n)
+    rate1 = cc.backward_decay_check(gen, window, rep, 1, n)
+    rate2 = cc.backward_decay_check(gen, window, rep, 2, n)
     ok = (abs(rate1 + rep.exponents[0]) <= 5e-2 and
           abs(rate2 + rep.exponents[1]) <= 5e-2)
     _report(4, f"backward rates {rate1:.4f}, {rate2:.4f} within 5e-2 of -exponents", ok)

@@ -267,6 +267,22 @@ def test_splitting_triangular_matches_eigen_oracle():
     assert max(rep.equivariance) <= 1e-6
 
 
+@pytest.mark.parametrize("lam", [(4.0, 2.0, 2.0, 0.5), (3.0, 3.0, 1.0, 0.25, 0.25)])
+def test_splitting_conjugated_diagonal_matches_eigen_oracle(lam):
+    # oracle: for A = S diag(lam) S^-1, E_i is spanned by the columns of S of
+    # the i-th largest eigenvalue; the repeated ones give 2-dimensional blocks,
+    # one of them below a faster block
+    rng = np.random.default_rng(2)
+    s = np.eye(len(lam)) + 0.4 * rng.standard_normal((len(lam), len(lam)))
+    gen = Generator.from_list([s @ np.diag(lam) @ np.linalg.inv(s)])
+    rep = oseledets_splitting(gen, None, const_window(200, 50), n_past=200, n_future=50)
+    distinct = sorted(set(lam), reverse=True)
+    assert rep.multiplicities == tuple(lam.count(x) for x in distinct)
+    for e, x in zip(rep.splitting, distinct):
+        cols = [j for j, y in enumerate(lam) if y == x]
+        assert gap(e, Subspace.from_spanning(s[:, cols])) <= 1e-10
+
+
 def test_splitting_random_positive_cocycle():
     rng = np.random.default_rng(10)
     gen = Generator.from_list([rng.uniform(0.5, 2.0, size=(2, 2)) for _ in range(3)])
@@ -435,14 +451,14 @@ def test_window_symbols_match_coordinates():
 
 def test_uniform_growth_one_dimensional():
     w = const_window(0, 100)
-    lo, hi = uniform_growth_check(TRIANGULAR, None, w, Subspace.span([1.0, 0.0]), 100)
+    lo, hi = uniform_growth_check(TRIANGULAR, w, Subspace.span([1.0, 0.0]), 100)
     assert lo == hi
 
 
 def test_uniform_growth_conformal_block_exact():
     gen = Generator.from_list([np.diag([2.0, 2.0, 0.5])])
     w = const_window(0, 100)
-    lo, hi = uniform_growth_check(gen, None, w,
+    lo, hi = uniform_growth_check(gen, w,
                                   Subspace.span([1.0, 0, 0], [0, 1.0, 0]), 100)
     assert lo == pytest.approx(LOG2, abs=1e-12)
     assert hi == pytest.approx(LOG2, abs=1e-12)
@@ -462,7 +478,7 @@ def test_uniform_growth_random_conformal_cocycle():
     gen = Generator.from_list(mats)
     drv = DrivingSystem.iid([0.5, 0.5], seed=19)
     w = drv.sample_window(0, 10_000)
-    lo, hi = uniform_growth_check(gen, None, w,
+    lo, hi = uniform_growth_check(gen, w,
                                   Subspace.span([1.0, 0, 0], [0, 1.0, 0]), 10_000)
     assert hi - lo <= 5e-2
 
@@ -470,8 +486,8 @@ def test_uniform_growth_random_conformal_cocycle():
 def test_backward_decay_constant_diagonal():
     w = const_window(1100, 60)
     rep = oseledets_splitting(DIAG, None, w, n_past=200, n_future=50)
-    rate1 = backward_decay_check(DIAG, None, w, rep, 1, 1000)
-    rate2 = backward_decay_check(DIAG, None, w, rep, 2, 1000)
+    rate1 = backward_decay_check(DIAG, w, rep, 1, 1000)
+    rate2 = backward_decay_check(DIAG, w, rep, 2, 1000)
     assert rate1 == pytest.approx(-LOG2, abs=1e-10)
     assert rate2 == pytest.approx(LOG2, abs=1e-10)
 
@@ -481,7 +497,7 @@ def test_backward_decay_random_mix():
     drv = DrivingSystem.iid([0.5, 0.5], seed=20)
     w = drv.sample_window(2300, 60)
     rep = oseledets_splitting(gen, None, w, n_past=250, n_future=50)
-    rate = backward_decay_check(gen, None, w, rep, 1, 2000)
+    rate = backward_decay_check(gen, w, rep, 1, 2000)
     assert rate == pytest.approx(-rep.exponents[0], abs=5e-2)
 
 
@@ -494,7 +510,7 @@ def test_backward_decay_restricted_singular():
                               gap_tolerance=1.0, check_convergence=False)
     assert rep.multiplicities == (2,)
     with pytest.raises(RestrictedSingular):
-        backward_decay_check(gen, None, w, rep, 1, 300)
+        backward_decay_check(gen, w, rep, 1, 300)
 
 
 def test_uniqueness_diagnostic_rejects_non_complementary():
@@ -502,7 +518,7 @@ def test_uniqueness_diagnostic_rejects_non_complementary():
     rep = oseledets_splitting(DIAG, None, w, n_past=200, n_future=50)
     inside_slow = Subspace.span([0.0, 1.0])  # lies in the slow filtration space
     with pytest.raises(NotComplementary):
-        uniqueness_diagnostic(DIAG, None, w, inside_slow, rep, 1, 10)
+        uniqueness_diagnostic(DIAG, w, inside_slow, rep, 1, 10)
 
 
 def test_splitting_blocks_transverse_to_filtration():
@@ -523,7 +539,7 @@ def test_splitting_blocks_transverse_to_filtration():
 def test_uniqueness_diagnostic_own_block_is_zero():
     w = const_window(300, 120)
     rep = oseledets_splitting(DIAG, None, w, n_past=200, n_future=50)
-    series = uniqueness_diagnostic(DIAG, None, w, rep.splitting[0], rep, 1, 25)
+    series = uniqueness_diagnostic(DIAG, w, rep.splitting[0], rep, 1, 25)
     assert np.all(series >= 0.0)
     assert np.max(series) <= 1e-8
 
@@ -532,7 +548,7 @@ def test_uniqueness_diagnostic_tilted_candidate_decay_rate():
     w = const_window(300, 120)
     rep = oseledets_splitting(DIAG, None, w, n_past=200, n_future=50)
     tilted = Subspace.span([1.0, 0.4])
-    series = uniqueness_diagnostic(DIAG, None, w, tilted, rep, 1, 25)
+    series = uniqueness_diagnostic(DIAG, w, tilted, rep, 1, 25)
     mask = series > 1e-13
     slope = np.polyfit(np.arange(26)[mask], np.log(series[mask]), 1)[0]
     expected = -(rep.exponents[0] - rep.exponents[1])

@@ -8,8 +8,8 @@ DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
-def test_demo_runs_clean(script):
+def test_demo_runs_clean(script, child_env):
     proc = subprocess.run([sys.executable, str(script)],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120, env=child_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from oseledets import sft as sf
@@ -11,6 +12,7 @@ from oseledets.harness import records as rec
 from oseledets.harness import runner
 from oseledets.harness.cli import main
 from oseledets.harness.config import (
+    build_driving,
     load_config,
     parse_matrices,
     parse_matrix,
@@ -383,18 +385,18 @@ def test_cli_driving_size_mismatch_is_config_error(tmp_path, capsys, text):
     assert not out_path.exists()
 
 
-def test_console_entry_point(tmp_path):
+def test_console_entry_point(tmp_path, child_env):
     cfg_path = write_cfg(tmp_path, INTERVAL_CFG)
     proc = subprocess.run(
         [sys.executable, "-m", "oseledets.harness.cli", "run",
          "--config", cfg_path],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env)
     assert proc.returncode == 0
     record = json.loads(proc.stdout.strip().split("\n")[-1])
     assert record["status"] == "ok"
 
 
-def test_cli_import_skips_scipy_optimize(tmp_path):
+def test_cli_import_skips_scipy_optimize(tmp_path, child_env):
     # scipy is most of the CLI's import time; only non-affine interval
     # branches and backward_decay_check need it, and they import it on first
     # use.  Neither the CLI import nor a cocycle, affine-interval or sft run
@@ -413,6 +415,41 @@ def test_cli_import_skips_scipy_optimize(tmp_path):
         "    assert runner.run(load_config(path))['status'] == 'ok', path\n"
         "    print(loaded())\n")
     proc = subprocess.run([sys.executable, "-c", script, *paths],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n") == ["[]"] * 4 + [""]
+
+
+TWO_MATRIX_CFG = COCYCLE_CFG.replace("[[2, 0], [0, 0.5]]",
+                                     "[[2, 0], [0, 0.5]] ; [[3, 0], [0, 0.25]]")
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["run"], INTERVAL_CFG.replace("maps = doubling", "maps = doubling, tripling")
+     + "\n[driving]\nlaw = markov\ntransition = [[0.5, 0.4], [0.2, 0.8]]\n"),
+    (["run"], TWO_MATRIX_CFG
+     + "\n[driving]\nlaw = markov\ntransition = [[1.2, -0.2], [0.5, 0.5]]\n"),
+    (["run"], COCYCLE_CFG.replace("n = 2000", "n = 0")),
+    (["run"], COCYCLE_CFG.replace("n_past = 150", "n_past = -3")),
+    (["run"], INTERVAL_CFG.replace("k = 32", "k = 0")),
+    (["run"], SFT_CFG.replace("n_ic = 3", "n_ic = 0")),
+    (["run"], SFT_CFG + "m_proj = 0\n"),
+    (["run"], SFT_CFG + "ly_samples = 0\n"),
+    (["run"], COUNTER_CFG.replace("n_pairs = 20", "n_pairs = 0")),
+    # the bad point comes second
+    (["sweep", "--grid", "k=64,0"], INTERVAL_CFG),
+], ids=["transition-row-sum", "transition-negative", "n", "n_past", "k", "n_ic",
+        "m_proj", "ly_samples", "n_pairs", "sweep-k"])
+def test_cli_out_of_range_config_is_config_error(tmp_path, capsys, argv, text):
+    out_path = tmp_path / "rec.ndjson"
+    assert main([*argv, "--config", write_cfg(tmp_path, text), "--out", str(out_path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_markov_rows_within_tolerance_are_normalised(tmp_path):
+    # the second row sums to 1 + 5e-10: accepted, then normalised
+    text = (TWO_MATRIX_CFG
+            + "\n[driving]\nlaw = markov\ntransition = [[0.9, 0.1], [0.2, 0.8000000005]]\n")
+    driving = build_driving(load_config(write_cfg(tmp_path, text)), 2)
+    assert np.allclose(np.sum(driving.transition, axis=1), 1.0, rtol=0, atol=1e-15)

@@ -463,7 +463,7 @@ def test_uniqueness_diagnostic_on_second_block():
     assert rep.exponents[0] == pytest.approx(0.0, abs=1e-12)
     assert rep.exponents[1] == pytest.approx(np.log(a), abs=1e-12)
     tilted = Subspace.from_spanning(np.array([[1.0], [-3.0]]) / np.sqrt(10))
-    series = cc.uniqueness_diagnostic(gen, None, w, tilted, rep, 1, 30)
+    series = cc.uniqueness_diagnostic(gen, w, tilted, rep, 1, 30)
     mask = series > 1e-12
     slope = np.polyfit(np.arange(31)[mask], np.log(series[mask]), 1)[0]
     expected = -(rep.exponents[0] - rep.exponents[1])
