@@ -13,8 +13,10 @@ top space genuinely depends on the past when the generators do not commute.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from math import sqrt
 from typing import Sequence
 
 import numpy as np
@@ -303,24 +305,73 @@ def _propagate(mats, symbols, q=None, *, reverse=False, record=(), keep_r=False)
     final Q, the per-step log|diag R| as a (steps, columns) array, {t: Q after
     t steps} for t in `record`, and the list of R factors when `keep_r`
     (else None).
+
+    For m <= 3 a step runs on Python floats on vectors zero-padded to length
+    3: Gram-Schmidt, applied twice, orthonormalises the columns of A_s Q.  A
+    step with a column that this cancels below 1e-10 of its length or whose
+    squared norm leaves [1e-290, 1e290] (an exact zero pivot included) is
+    redone by `_qr_pos`, so singular generators keep exact -inf rates.
     """
     if len(symbols) and not 0 <= symbols.min() <= symbols.max() < len(mats):
         raise ValueError("window symbol outside the generator alphabet")
     if reverse:
         mats, symbols = mats.transpose(0, 2, 1), symbols[::-1]
     q = np.eye(mats.shape[1]) if q is None else q
-    steps = np.empty((len(symbols), q.shape[1]))
+    (m, k), n = q.shape, len(symbols)
     recorded = {0: q} if 0 in record else {}
-    rs = [] if keep_r else None
-    with np.errstate(divide="ignore"):
-        for t, s in enumerate(symbols.tolist(), 1):
-            q, r = _qr_pos(mats[s] @ q)
-            steps[t - 1] = np.log(np.abs(np.diag(r)))
-            if t in record:
-                recorded[t] = q
+    if m > 3:
+        steps = np.empty((n, k))
+        rs = [] if keep_r else None
+        with np.errstate(divide="ignore"):
+            for t, s in enumerate(symbols.tolist(), 1):
+                q, r = _qr_pos(mats[s] @ q)
+                steps[t - 1] = np.log(np.abs(np.diag(r)))
+                if t in record:
+                    recorded[t] = q
+                if keep_r:
+                    rs.append(r)
+        return q, steps, recorded, rs
+
+    def frame():  # the columns as an (m, k) array
+        return np.reshape(cols, (k, 3))[:, :m].T
+
+    gens = np.pad(mats, ((0, 0), (0, 3 - m), (0, 3 - m))).reshape(-1, 9).tolist()
+    cols = np.pad(q.T, ((0, 0), (0, 3 - m))).tolist()
+    diag, rflat = array("d"), array("d")  # |R_jj| per step; R^T per step
+    for t, s in enumerate(symbols.tolist(), 1):
+        a0, a1, a2, a3, a4, a5, a6, a7, a8 = gens[s]
+        new = []
+        for x, y, z in cols:
+            u, v, w = a0 * x + a1 * y + a2 * z, a3 * x + a4 * y + a5 * z, a6 * x + a7 * y + a8 * z
+            ny = u * u + v * v + w * w
+            if keep_r:  # R above the diagonal: the new columns dotted with A_s q
+                rflat.extend([p0 * u + p1 * v + p2 * w for p0, p1, p2 in new])
+            for p0, p1, p2 in new + new:  # Gram-Schmidt twice
+                d = p0 * u + p1 * v + p2 * w
+                u, v, w = u - d * p0, v - d * p1, w - d * p2
+            nw = u * u + v * v + w * w
+            if not (1e-20 * ny < nw and 1e-290 < nw < 1e290):
+                break
+            nrm = sqrt(nw)
+            diag.append(nrm)
             if keep_r:
-                rs.append(r)
-    return q, steps, recorded, rs
+                rflat.extend([nrm] + [0.0] * (k - 1 - len(new)))
+            new.append((u / nrm, v / nrm, w / nrm))
+        if len(new) < k:  # drop what this step wrote and redo it with numpy
+            del diag[(t - 1) * k:], rflat[(t - 1) * k * k:]
+            qn, r = _qr_pos(mats[s] @ frame())
+            new = np.pad(qn.T, ((0, 0), (0, 3 - m))).tolist()
+            diag.extend(np.diag(r).tolist())
+            if keep_r:
+                rflat.extend(r.T.ravel().tolist())
+        cols = new
+        if t in record:
+            recorded[t] = frame()
+    steps = np.frombuffer(diag).reshape(n, k)
+    with np.errstate(divide="ignore"):
+        np.log(steps, out=steps)
+    rs = list(np.frombuffer(rflat).reshape(n, k, k).transpose(0, 2, 1)) if keep_r else None
+    return recorded[n] if n in recorded else frame(), steps, recorded, rs
 
 
 def _mean_rates(steps: np.ndarray, burn: int = 0) -> np.ndarray:

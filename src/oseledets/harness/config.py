@@ -169,6 +169,9 @@ def validate_config(cfg: RunConfig) -> None:
     for key, low in COUNT_MINIMA.items():
         if cfg.numeric(key, low, int) < low:
             raise ConfigError(f"{key} must be at least {low}")
+    # a splitting's convergence check compares against half the past
+    if cfg.kind in ("cocycle", "interval") and cfg.numeric("n_past", 2, int) < 2:
+        raise ConfigError("n_past must be at least 2 for a cocycle or interval run")
     if "theta" in cfg.system:
         try:
             theta = float(cfg.system["theta"])

@@ -629,27 +629,31 @@ def norm_and_ic_bounds(
         if abs(tn - 1.0) > 1e-12:
             raise NotIrreducible(f"certificate function has theta-norm {tn} != 1")
 
+    images = [transfer_apply_word(sft, weights, f, n) for f in family]
     rng = np.random.default_rng(seed)
     sample_depth = (m_proj + 2) if sample_depth is None else sample_depth
     n_words = len(sft.legal_words(sample_depth))
     samples = [CylinderFunction.constant(sft, 1.0)] + list(family)
+    known = [image1] + images  # the images of samples[:len(known)]
     for _ in range(n_samples):
         samples.append(CylinderFunction(sft, sample_depth,
                                         rng.uniform(-1.0, 1.0, size=n_words)))
     op_est = 0.0
     ic_upper = 0.0
-    for f in samples:
+    for i, f in enumerate(samples):
         norm = f.theta_norm()
         if norm <= 0:
             continue
-        f = f * (1.0 / norm)
-        image = transfer_apply_word(sft, weights, f, n)
+        if i < len(known) and norm == 1.0:
+            image = known[i]  # f * (1.0 / norm) is f bit for bit
+        else:
+            f = f * (1.0 / norm)
+            image = transfer_apply_word(sft, weights, f, n)
         op_est = max(op_est, image.theta_norm())
         resid = f - cylinder_projection(sft, f, m_proj)
         ic_upper = max(ic_upper,
                        transfer_apply_word(sft, weights, resid, n).theta_norm())
 
-    images = [transfer_apply_word(sft, weights, f, n) for f in family]
     dmin = np.inf
     for ia in range(len(images)):
         for ib in range(ia + 1, len(images)):

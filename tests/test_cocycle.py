@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oseledets.cocycle as cc
 from oseledets.cocycle import (
@@ -422,6 +424,162 @@ def test_kernel_modes_match_exact_products():
     q_ref, r_ref = cc._qr_pos(prod.T)
     assert np.allclose(q_rev, q_ref, atol=1e-10)
     assert np.allclose(steps_rev.sum(axis=0), np.log(np.diag(r_ref)), atol=1e-10)
+
+
+def reference_propagate(mats, symbols, q, reverse=False, qr_pos=cc._qr_pos):
+    """The numpy QR loop, one `_qr_pos` call per step; records every step."""
+    if reverse:
+        mats, symbols = mats.transpose(0, 2, 1), symbols[::-1]
+    steps, recorded, rs = [], {0: q}, []
+    for t, s in enumerate(symbols.tolist(), 1):
+        q, r = qr_pos(mats[s] @ q)
+        with np.errstate(divide="ignore"):
+            steps.append(np.log(np.abs(np.diag(r))))
+        recorded[t] = q
+        rs.append(r)
+    return q, np.reshape(steps, (len(symbols), q.shape[1])), recorded, rs
+
+
+def assert_matches_reference(mats, symbols, q0, reverse, qr_pos=cc._qr_pos):
+    n = len(symbols)
+    record = {0, n // 3, n}
+    q, steps, recorded, rs = cc._propagate(mats, symbols, q0, reverse=reverse,
+                                           record=record, keep_r=True)
+    q_ref, steps_ref, rec_ref, rs_ref = reference_propagate(mats, symbols, q0, reverse, qr_pos)
+    assert steps.shape == steps_ref.shape and q.shape == q_ref.shape
+    assert np.array_equal(np.isneginf(steps), np.isneginf(steps_ref))
+    finite = np.isfinite(steps_ref)
+    assert np.max(np.abs(steps[finite] - steps_ref[finite]), initial=0.0) <= 1e-13
+    assert set(recorded) == record and recorded[n] is q and recorded[0] is q0
+    for t in record:
+        assert np.max(np.abs(recorded[t] - rec_ref[t]), initial=0.0) <= 1e-13
+    # the R factors: upper triangular with a positive diagonal where the
+    # reference's is positive, each within round-off of the reference, and
+    # with the same running product
+    assert len(rs) == n
+    prod, prod_ref = np.eye(q0.shape[1]), np.eye(q0.shape[1])
+    for r, r_ref in zip(rs, rs_ref):
+        assert np.array_equal(np.tril(r, -1), np.zeros_like(r))
+        assert np.array_equal(np.diag(r) > 0, np.diag(r_ref) > 0)
+        assert np.max(np.abs(r - r_ref), initial=0.0) <= 1e-13 * max(1.0, np.abs(r_ref).max())
+        prod, prod_ref = r @ prod, r_ref @ prod_ref
+        scale = max(1.0, np.abs(prod_ref).max())
+        assert np.max(np.abs(prod - prod_ref), initial=0.0) <= 1e-12 * scale
+        prod, prod_ref = prod / scale, prod_ref / scale
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=20, deadline=None)
+@pytest.mark.parametrize("m, k", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_scalar_kernel_matches_numpy_loop(m, k, reverse, seed):
+    # random cocycles on m <= 3 (the Python-float path) against the numpy loop:
+    # rotations times scalings in [0.5, 2], so each step has condition number
+    # at most 4 and both loops agree to round-off
+    rng = np.random.default_rng(seed)
+    mats = np.stack([np.linalg.qr(rng.normal(size=(m, m)))[0] * rng.uniform(0.5, 2.0, size=m)
+                     for _ in range(3)])
+    symbols = rng.integers(0, 3, size=40)
+    q0 = np.linalg.qr(rng.normal(size=(m, m)))[0][:, :k]
+    assert_matches_reference(mats, symbols, q0, reverse)
+
+
+@pytest.mark.parametrize("diags", [
+    [(2.0, 0.0, 0.5), (0.0, 3.0, 1.0), (1.5, 0.25, 0.0)],
+    [(2.0, 0.0), (0.0, 0.5)],
+    [(0.0,), (2.0,)],
+])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_scalar_kernel_keeps_exact_zero_pivots(diags, reverse):
+    # diagonal generators with exact zeros give -inf steps exactly where the
+    # numpy loop does, for full and truncated frames
+    mats = np.stack([np.diag(d) for d in diags])
+    symbols = DrivingSystem.iid([1 / len(diags)] * len(diags), seed=9).sample_window(0, 30).future
+    m = mats.shape[1]
+    assert np.isneginf(cc._propagate(mats, symbols, reverse=reverse)[1]).any()
+    for k in range(1, m + 1):
+        assert_matches_reference(mats, symbols, np.eye(m, k), reverse)
+
+
+def count_qr_pos_calls(monkeypatch):
+    qr_pos, calls = cc._qr_pos, []
+
+    def counting(y):
+        calls.append(1)
+        return qr_pos(y)
+
+    monkeypatch.setattr(cc, "_qr_pos", counting)
+    return calls
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_scalar_kernel_falls_back_on_zero_pivot(monkeypatch, reverse):
+    # a rank-deficient, non-diagonal 3x3 generator: its third column is
+    # exactly zero, so each of its steps has an exact zero pivot and is redone
+    # by `_qr_pos`; the other generator's steps stay on the scalar path
+    qr_pos = cc._qr_pos
+    calls = count_qr_pos_calls(monkeypatch)
+    singular = np.array([[1.0, 2.0, 0.0], [-0.5, 1.5, 0.0], [0.0, 0.0, 0.0]])
+    regular = np.array([[0.5, -1.0, 0.0], [2.0, 0.3, 0.0], [0.0, 0.0, 2.0]])
+    mats = np.stack([singular, regular])
+    symbols = DrivingSystem.iid([0.5, 0.5], seed=12).sample_window(0, 40).future
+    _, steps, _, _ = cc._propagate(mats, symbols, reverse=reverse)
+    assert len(calls) == np.count_nonzero(symbols == 0) > 0
+    assert np.array_equal(np.isneginf(steps[:, 2]), (symbols[::-1] if reverse else symbols) == 0)
+    assert_matches_reference(mats, symbols, np.eye(3), reverse, qr_pos)
+
+
+def test_scalar_kernel_falls_back_on_cancelled_column(monkeypatch):
+    # a conjugated singular generator: Gram-Schmidt cancels the third column
+    # of every step to round-off, so every step is redone by `_qr_pos` and the
+    # frames stay orthonormal
+    s = np.eye(3) + 0.4 * np.random.default_rng(0).normal(size=(3, 3))
+    mats = (s @ np.diag([3.0, 1.0, 0.0]) @ np.linalg.inv(s))[None]
+    calls = count_qr_pos_calls(monkeypatch)
+    q, steps, _, _ = cc._propagate(mats, np.zeros(30, dtype=int))
+    assert len(calls) == 30
+    assert np.max(np.abs(q.T @ q - np.eye(3))) <= 1e-14
+    assert np.all(steps[:, 2] < np.log(1e-10) + steps[:, 0])
+
+
+def test_scalar_kernel_orthonormal_on_ill_conditioned_steps():
+    # two columns of the generator are 1e-7 apart, so Gram-Schmidt cancels
+    # one of them to 1e-7 of its length (above the fallback threshold); the
+    # second pass keeps the frames orthonormal to round-off (one pass: 5e-9)
+    rng = np.random.default_rng(1)
+    for _ in range(10):
+        rot, turn = (np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(2))
+        near = rot @ np.array([[1.0, 1.0, 0.0], [0.0, 1e-7, 0.0], [0.0, 0.0, 1.0]]) @ rot.T
+        symbols = rng.integers(0, 2, size=30)
+        for k in (2, 3):
+            q = cc._propagate(np.stack([near, turn]), symbols, np.eye(3, k))[0]
+            assert np.max(np.abs(q.T @ q - np.eye(k))) <= 1e-15
+
+
+def test_scalar_kernel_without_steps():
+    # no symbols: the start frame comes back with an empty (0, k) step log
+    q0 = np.eye(3, 2)
+    q, steps, recorded, rs = cc._propagate(np.eye(3)[None], np.zeros(0, dtype=int), q0,
+                                           record={0}, keep_r=True)
+    assert q is q0 and list(recorded) == [0] and recorded[0] is q0
+    assert steps.shape == (0, 2) and rs == []
+
+
+def test_splitting_propagation_step_count(monkeypatch):
+    # the deterministic work count of a 200/50 splitting: one reverse pass
+    # (250 steps), the push from the far past (201) and the half-past push (100)
+    rng = np.random.default_rng(40)
+    gen = Generator.from_list([rng.uniform(0.5, 2.0, size=(2, 2)) for _ in range(2)])
+    window = DrivingSystem.iid([0.5, 0.5], seed=41).sample_window(200, 50)
+    propagate, steps = cc._propagate, []
+
+    def counting(mats, symbols, *args, **kwargs):
+        steps.append(len(symbols))
+        return propagate(mats, symbols, *args, **kwargs)
+
+    monkeypatch.setattr(cc, "_propagate", counting)
+    oseledets_splitting(gen, None, window, n_past=200, n_future=50)
+    assert sorted(steps) == [100, 201, 250]
 
 
 def test_window_symbols_match_coordinates():

@@ -438,8 +438,12 @@ TWO_MATRIX_CFG = COCYCLE_CFG.replace("[[2, 0], [0, 0.5]]",
     (["run"], COUNTER_CFG.replace("n_pairs = 20", "n_pairs = 0")),
     # the bad point comes second
     (["sweep", "--grid", "k=64,0"], INTERVAL_CFG),
+    # a splitting needs two past steps for its convergence check
+    (["run"], COCYCLE_CFG.replace("n_past = 150", "n_past = 1")),
+    (["sweep", "--grid", "n_past=150,1"], INTERVAL_CFG),
 ], ids=["transition-row-sum", "transition-negative", "n", "n_past", "k", "n_ic",
-        "m_proj", "ly_samples", "n_pairs", "sweep-k"])
+        "m_proj", "ly_samples", "n_pairs", "sweep-k", "cocycle-n_past-1",
+        "sweep-interval-n_past-1"])
 def test_cli_out_of_range_config_is_config_error(tmp_path, capsys, argv, text):
     out_path = tmp_path / "rec.ndjson"
     assert main([*argv, "--config", write_cfg(tmp_path, text), "--out", str(out_path)]) == 2

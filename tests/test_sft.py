@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oseledets import cocycle as cc
+from oseledets import sft as sf
 from oseledets.errors import (
     AmplitudeTooLarge,
     IllegalWord,
@@ -355,6 +356,24 @@ def test_sandwich_kappa_fit():
     target = np.log(0.5)  # log theta + log R*, R* = 1
     for fit in fits:
         assert fit == pytest.approx(target, abs=0.1)
+
+
+def test_sandwich_transfers_each_input_once(monkeypatch):
+    # for theta = 1/2 the constant 1 and the certificate family have
+    # theta-norm exactly 1, so the samples loop reuses their images: every
+    # input goes through the n-step transfer once
+    seen = []
+
+    def counting(sft, weights, f, n):
+        seen.append((f.depth, f.array.tobytes()))
+        return transfer_apply_word(sft, weights, f, n)
+
+    monkeypatch.setattr(sf, "transfer_apply_word", counting)
+    ws = [stochastic_weight(0.8)] * 8
+    norm_and_ic_bounds(FULL, ws, 3, 3, n_samples=7, family_size=5)
+    # P^(n) 1, the 5 family images, the 7 sampled images, 13 residual images
+    assert len(seen) == 1 + 5 + 7 + 13
+    assert len(set(seen)) == len(seen)
 
 
 def test_sandwich_needs_irreducible():
