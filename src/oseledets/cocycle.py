@@ -454,6 +454,12 @@ def lyapunov_exponents(
     n : number of steps (requires n future symbols).
     m_trunc : track only the leading `m_trunc` directions (default: all).
     burn_in : steps discarded before accumulation; default min(100, n // 10).
+
+    A truncated pass starts from the first `m_trunc` coordinate axes.  QR
+    columns are nested, so its rates are the leading full-width ones unless
+    that start frame misses a fast direction entirely (e.g. block-diagonal
+    generators whose fastest block sits on later coordinates), which then
+    never enters the tracked columns.
     """
     if window is None:
         if driving is None:
@@ -529,6 +535,15 @@ def forward_filtration(
     return out
 
 
+def _complement(w: np.ndarray, c: int) -> np.ndarray:
+    """An orthonormal frame of the orthogonal complement of w[:, :c], w an
+    orthonormal frame: its remaining columns when w is square, else the tail
+    of one complete QR of w[:, :c]."""
+    if w.shape[1] == w.shape[0]:
+        return w[:, c:]
+    return np.linalg.qr(w[:, :c], mode="complete")[0][:, c:]
+
+
 def _orthonormal_image(matrix: np.ndarray, sub: Subspace) -> Subspace | None:
     y = matrix @ sub.frame
     q, r = _qr_pos(y)
@@ -550,6 +565,7 @@ def oseledets_splitting(
     kappa_estimate: float | None = None,
     burn_in: int | None = None,
     check_convergence: bool = True,
+    blocks: int | None = None,
 ) -> SpectrumReport:
     """Equivariant splitting at the window origin with diagnostics.
 
@@ -561,10 +577,23 @@ def oseledets_splitting(
     self-applied uniqueness value (norm of the projection onto V_{i+1} along
     the fast sum, restricted to E_i).
 
+    `blocks` = p computes only the top p blocks (fewer when fewer are
+    resolvable); the default computes every resolvable block.  With
+    c_p = d_1 + ... + d_p, the reverse pass then tracks c_p + 1 columns (the
+    last one resolves the gap below block p) and the forward pushes c_p.  It
+    starts from the first p + 1 coordinate axes and doubles its width, up to
+    m, while the tracked rates do not close block p.  QR columns are nested,
+    so blocks 1..p agree with the full-width ones up to rounding, unless the
+    start frame misses a fast direction entirely (e.g. block-diagonal
+    generators whose fastest block sits on later coordinates), as with
+    `lyapunov_exponents(m_trunc=)`.  Only the checks of blocks 1..p run.
+
     Raises NonConvergence when the Cauchy gap exceeds `convergence_tolerance`
     (disable with check_convergence=False), and BlockDegeneracy when a block
     boundary is not resolved.
     """
+    if blocks is not None and blocks < 1:
+        raise ValueError("blocks must be at least 1")
     if window is None:
         if driving is None:
             raise ValueError("need a driving system or an explicit window")
@@ -583,30 +612,48 @@ def oseledets_splitting(
     # One reverse pass over [-n_past, n_future) gives the spectrum, and its
     # frame after t steps is that of the product over [n_future - t,
     # n_future): recorded at coordinates -n_past (pushed forward), -n_past/2
-    # (pushed forward for the Cauchy check), 0 and 1 (the filtrations).
-    _, steps, rev, _ = _propagate(
-        mats, window.symbols(-n_past, n_future), reverse=True,
-        record={n_total, t_half, n_future, t1})
-
-    # spectrum from the full-window product
-    _, rates = _sorted_columns(rev[n_total], steps, burn)
-    blocks = _group_blocks(rates, gap_tolerance)
-    blocks = _resolvable(blocks, kappa_estimate, gap_tolerance)
-    if not blocks:
+    # (pushed forward for the Cauchy check), 0 and 1 (the filtrations).  The
+    # last block of a narrow pass may continue below its columns, so only
+    # the blocks above it are closed; the pass is redone at twice the width
+    # until p closed blocks are resolvable or a closed block is not.
+    width = m if blocks is None else min(blocks + 1, m)
+    while True:
+        _, steps, rev, _ = _propagate(
+            mats, window.symbols(-n_past, n_future), np.eye(m, width), reverse=True,
+            record={n_total, t_half, n_future, t1})
+        # spectrum from the full-window product
+        _, rates = _sorted_columns(rev[n_total], steps, burn)
+        grouped = _group_blocks(rates, gap_tolerance)
+        closed = grouped if width == m else grouped[:-1]
+        found = _resolvable(closed, kappa_estimate, gap_tolerance)
+        if width == m or len(found) >= blocks or len(found) < len(closed):
+            break
+        width = min(2 * width, m)
+    found = found[:blocks]
+    if not found:
         raise BlockDegeneracy("no resolvable exponent blocks above the threshold")
-    exponents = tuple(b[0] for b in blocks)
-    mults = tuple(b[1] for b in blocks)
+    exponents = tuple(b[0] for b in found)
+    mults = tuple(b[1] for b in found)
     ends = list(np.cumsum(mults))
-    p = len(blocks)
+    p, c_p = len(found), ends[-1]
 
-    # filtration frames at coordinates 0 and 1
+    # filtration frames at coordinates 0 and 1; `slow` spans the complement
+    # of the fast c_p columns at 0, so V_{i+1} at 0 is slow_from(c_i) =
+    # span(W_{c_i:c_p}, slow)
     w0, r0rates = _sorted_columns(rev[n_future], steps[:n_future])
     w1, _ = _sorted_columns(rev[t1], steps[:t1])
     _check_block_boundaries(r0rates, ends + [m], gap_tolerance, n_future)
+    slow = _complement(w0, c_p)
 
-    # fast frames at coordinates 0 and 1 (push-forward of far-past directions)
+    def slow_from(c):
+        return np.hstack([w0[:, c:c_p], slow])
+
+    # fast frames at coordinates 0 and 1 (push-forward of far-past directions);
+    # a top-block run pushes only the c_p columns its blocks use, the default
+    # every column, which keeps its frames bit for bit
     u_far, _ = _sorted_columns(rev[n_total], steps, _default_burn(n_total))
-    _, _, fw, _ = _propagate(mats, window.symbols(-n_past, 1), u_far,
+    fast = slice(None) if blocks is None else slice(c_p)
+    _, _, fw, _ = _propagate(mats, window.symbols(-n_past, 1), u_far[:, fast],
                              record={n_past, n_past + 1})
     q0, q1 = fw[n_past], fw[n_past + 1]
 
@@ -623,7 +670,7 @@ def oseledets_splitting(
     splitting = blockwise(q0, w0)
     splitting_next = blockwise(q1, w1)
 
-    filtration = tuple(Subspace(w0[:, c:]) for c in ends if c < m)
+    filtration = tuple(Subspace(slow_from(c)) for c in ends if c < m)
 
     # equivariance residuals
     a0 = gen.matrix(window.symbol(0))
@@ -638,7 +685,7 @@ def oseledets_splitting(
         c_i = ends[i]
         if c_i < m:
             proj = project_along(kernel=Subspace(q0[:, :c_i]),
-                                 range=Subspace(w0[:, c_i:]))
+                                 range=Subspace(slow_from(c_i)))
             g0.append(float(np.linalg.norm(proj.matrix @ splitting[i].frame, 2)))
         else:
             g0.append(0.0)
@@ -647,7 +694,7 @@ def oseledets_splitting(
     cauchy = []
     if check_convergence and n_past >= 2:
         u_half, _ = _sorted_columns(rev[t_half], steps[:t_half], _default_burn(t_half))
-        q_half = _propagate(mats, window.symbols(-half, 0), u_half)[0]
+        q_half = _propagate(mats, window.symbols(-half, 0), u_half[:, fast])[0]
         for e_full, e_half in zip(splitting, blockwise(q_half, w0)):
             cauchy.append(gap(e_full, e_half))
         worst = max(cauchy)
@@ -656,8 +703,8 @@ def oseledets_splitting(
                 f"splitting Cauchy gap {worst:.3e} exceeds {convergence_tolerance:.3e}")
 
     frames = [e.frame for e in splitting]
-    if ends[-1] < m:
-        frames.append(w0[:, ends[-1]:])
+    if c_p < m:
+        frames.append(slow)
     min_sv = float(np.linalg.svd(np.hstack(frames), compute_uv=False)[-1])
 
     return SpectrumReport(

@@ -163,7 +163,8 @@ def run_sft(cfg: RunConfig) -> dict:
             example.sft, depth,
             rng.uniform(-1.0, 1.0, size=len(example.sft.legal_words(depth)))))
     smoothing = sf.lipschitz_ly_check(example.sft, weights, n_ic, samples,
-                                      k_constant=sandwich.k_constant)
+                                      k_constant=sandwich.k_constant,
+                                      r_n=sandwich.r_n)
     return {
         "kind": "sft",
         "theta": theta,

@@ -715,9 +715,12 @@ def random_acim(
 ) -> AcimReport:
     """Random invariant densities from the k-bin transfer cocycle.
 
-    The top splitting space of the Ulam cocycle carries the invariant
+    The top splitting space E_1 of the Ulam cocycle carries the invariant
     densities; when it is one-dimensional the density is normalized to
-    integral one.  The expansion-index estimate feeds the splitting as the
+    integral one.  Only E_1 is computed (`blocks=1` in the splitting), so the
+    passes track d_1 + 1 columns rather than all k, and the Ulam blocks
+    nearer the expansion index, spurious or not, are neither computed nor
+    checked.  The expansion-index estimate feeds the splitting as the
     threshold below which blocks are not exceptional.
 
     Raises ExpansionTooWeak when the system is not expanding on average.
@@ -734,7 +737,7 @@ def random_acim(
         window = sys.driving.sample_window(n_past, n_future)
     report = _cocycle.oseledets_splitting(
         gen, None, window, n_past=n_past, n_future=n_future,
-        kappa_estimate=kappa, **splitting_kwargs)
+        kappa_estimate=kappa, blocks=1, **splitting_kwargs)
     d1 = report.multiplicities[0]
     e1 = report.splitting[0]
     densities = []

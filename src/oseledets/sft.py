@@ -529,15 +529,17 @@ def lipschitz_ly_check(
     f_samples: Sequence[CylinderFunction],
     *,
     k_constant: float | None = None,
+    r_n: float | None = None,
 ) -> SmoothingReport:
     """Check |P^(n) f|_theta <= R_n (theta^n |f|_theta + K ||f||_inf).
 
-    K defaults to max(2, feasible distortion constant), the `k_constant` of
-    `norm_and_ic_bounds` for the same weights and n; pass that value to skip
-    a second distortion pass.
+    K defaults to max(2, feasible distortion constant) and R_n to `rn`: the
+    `k_constant` and `r_n` of `norm_and_ic_bounds` for the same weights and
+    n; pass those values to skip a second distortion pass and transfer.
     """
     theta = sft.theta
-    r_n = rn(sft, weights, n)
+    if r_n is None:
+        r_n = rn(sft, weights, n)
     if k_constant is None:
         k_constant = _smoothing_constant(sft, weights, n)
     slacks = []

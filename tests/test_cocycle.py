@@ -294,6 +294,76 @@ def test_splitting_random_positive_cocycle():
     assert rep.direct_sum_min_sv > 1e-6
 
 
+def separated_cocycle(rng, m, top2):
+    """Three generators O B_s O^T, O orthogonal, with exponents about 0.8
+    apart.  With `top2`, B_s maps the first coordinate plane to itself by 2
+    times a rotation: an exactly conformal top block of multiplicity 2."""
+    o = np.linalg.qr(rng.normal(size=(m, m)))[0]
+    mats = []
+    for _ in range(3):
+        b = np.diag(np.exp(-0.8 * np.arange(m))) @ (np.eye(m) + 0.1 * rng.normal(size=(m, m)))
+        if top2:
+            a = rng.uniform(0.0, 2 * np.pi)
+            b[:, :2] = 0.0
+            b[:2, :2] = 2.0 * np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+        mats.append(o @ b @ o.T)
+    return Generator.from_list(mats)
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=8),
+       st.booleans(), st.booleans())
+@settings(max_examples=15, deadline=None)
+def test_top_block_splitting_matches_full_width(seed, m, top2, markov):
+    rng = np.random.default_rng(seed)
+    gen = separated_cocycle(rng, m, top2)
+    if markov:
+        t = rng.uniform(0.2, 1.0, size=(3, 3))
+        drv = DrivingSystem.markov(t / t.sum(axis=1, keepdims=True), seed=seed)
+    else:
+        drv = DrivingSystem.iid([1 / 3] * 3, seed=seed)
+    window = drv.sample_window(200, 50)
+    full = oseledets_splitting(gen, None, window, n_past=200, n_future=50)
+    assert full.multiplicities[0] == (2 if top2 else 1)
+    for p in range(1, full.p + 1):
+        top = oseledets_splitting(gen, None, window, n_past=200, n_future=50, blocks=p)
+        c_p = full.block_ends[p - 1]
+        assert top.multiplicities == full.multiplicities[:p]
+        assert np.max(np.abs(np.subtract(top.exponents, full.exponents[:p]))) <= 1e-12
+        assert max(gap(a, b) for a, b in zip(top.splitting, full.splitting)) <= 1e-10
+        # V_2, ..., V_{p+1}; V_{p+1} is built from the complement of the fast columns
+        assert len(top.filtration) == p - (c_p == m)
+        assert all(gap(a, b) <= 1e-10 for a, b in zip(top.filtration, full.filtration))
+        for name in ("equivariance", "uniqueness_g0", "cauchy_gap"):
+            assert np.allclose(getattr(top, name), getattr(full, name)[:p], rtol=0, atol=1e-10)
+        frames = [e.frame for e in full.splitting[:p]] + [v.frame for v in full.filtration[p - 1:p]]
+        min_sv = np.linalg.svd(np.hstack(frames), compute_uv=False)[-1]
+        assert top.direct_sum_min_sv == pytest.approx(min_sv, abs=1e-10)
+
+
+def test_top_block_splitting_widens_past_a_multiple_block(monkeypatch):
+    # the top block has multiplicity 2, so the first p + 1 tracked columns
+    # cannot close it (p = 1), nor block 2 behind it (p = 2)
+    gen = separated_cocycle(np.random.default_rng(3), 6, top2=True)
+    window = DrivingSystem.iid([1 / 3] * 3, seed=4).sample_window(200, 50)
+    full = oseledets_splitting(gen, None, window, n_past=200, n_future=50)
+    propagate, widths = cc._propagate, []
+
+    def spy(mats, symbols, q=None, **kwargs):
+        if kwargs.get("reverse"):
+            widths.append(q.shape[1])
+        return propagate(mats, symbols, q, **kwargs)
+
+    monkeypatch.setattr(cc, "_propagate", spy)
+    for p, expected in ((1, [2, 4]), (2, [3, 6])):
+        widths.clear()
+        top = oseledets_splitting(gen, None, window, n_past=200, n_future=50, blocks=p)
+        assert widths == expected
+        assert top.multiplicities == full.multiplicities[:p] and top.multiplicities[0] == 2
+        assert max(gap(a, b) for a, b in zip(top.splitting, full.splitting)) <= 1e-10
+    with pytest.raises(ValueError):
+        oseledets_splitting(gen, None, window, n_past=200, n_future=50, blocks=0)
+
+
 def test_splitting_direct_sum_invariant():
     rng = np.random.default_rng(12)
     gen = Generator.from_list([np.diag(rng.uniform(0.5, 4.0, size=4))

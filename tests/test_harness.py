@@ -167,7 +167,7 @@ def test_run_sft_certificate_passes_run_once(tmp_path, monkeypatch):
         monkeypatch.setattr(sf, name, counted)
     record = runner.run(load_config(write_cfg(tmp_path, SFT_CFG)))
     assert record["status"] == "ok"
-    assert calls == {"distortion_check": 1, "rn": 1}
+    assert calls == {"distortion_check": 1, "rn": 0}
 
 
 def test_run_cocycle_record(tmp_path):

@@ -339,6 +339,65 @@ def test_acim_requires_expansion():
         random_acim(sys, k=16, n_past=50)
 
 
+# t1 has two expanding branches onto [0, 1] and one contracting branch onto
+# [0, 1/4]; q(x) = 4x mod 1.  Both send each cell of {[0,1/4], [1/4,1/2],
+# [1/2,1]} onto a union of cells, so Ulam's method is exact on functions
+# constant on those cells, and every grid of k = 4 * 2^i bins refines them.
+T1 = affine_map([[0.0, 0.25, 4.0, 0.0], [0.25, 0.5, 4.0, -1.0], [0.5, 1.0, 0.5, -0.25]])
+QUADRUPLING = affine_map([[i / 4, (i + 1) / 4, 4.0, -float(i)] for i in range(4)])
+
+
+def markov_system_density(window, k):
+    """The exact random invariant density of (T1, QUADRUPLING) at coordinate
+    0 on k bins: L_{t1}^j 1, where j counts the t1 symbols since the last q
+    (L_q maps every function constant on the quarters to its integral)."""
+    j = window.seq[:window.n_past][::-1].tolist().index(1)
+    quarters = np.ones(4)
+    for _ in range(j):
+        inflow = (quarters[0] + quarters[1]) / 4
+        quarters = np.array([inflow + 2 * quarters[2], inflow, inflow, inflow])
+    return np.repeat(quarters, k // 4)
+
+
+@pytest.mark.parametrize("law", ["iid", "markov"])
+@pytest.mark.parametrize("k", [4, 8, 16, 32, 64, 128, 256])
+def test_acim_matches_piecewise_affine_markov_closed_form(k, law):
+    for seed in range(12):
+        drv = (cc.DrivingSystem.iid([0.5, 0.5], seed=seed) if law == "iid" else
+               cc.DrivingSystem.markov([[0.7, 0.3], [0.4, 0.6]], seed=seed))
+        sys = RandomIntervalSystem((T1, QUADRUPLING), drv)
+        window = drv.sample_window(200, 50)
+        # the estimated expansion index only places the threshold, far below 0
+        rep = random_acim(sys, window, k=k, chi_n=2000, chi_samples=2)
+        assert rep.d1 == 1 and rep.report.p == 1
+        exact = markov_system_density(window, k)
+        assert np.max(np.abs(rep.densities[0] - exact)) <= 1e-12, (seed, law, k)
+
+
+@pytest.mark.parametrize("k,seed", [(64, 0), (64, 4), (64, 7), (32, 4), (128, 0), (128, 4),
+                                    (256, 3)])
+def test_acim_ignores_spurious_ulam_blocks(k, seed, monkeypatch):
+    # (tripling, slope 0.75): each window failed a check on an Ulam block near
+    # the expansion index (NonConvergence; BlockDegeneracy at k = 128, seed 4)
+    # while every block was computed.  The density needs block 1 alone.
+    drv = cc.DrivingSystem.iid([0.5, 0.5], seed=seed)
+    sys = RandomIntervalSystem((tripling_map(), single_slope_map(0.75)), drv)
+    propagate, widths = cc._propagate, []
+
+    def spy(mats, symbols, q=None, **kwargs):
+        widths.append(q.shape[1])
+        return propagate(mats, symbols, q, **kwargs)
+
+    monkeypatch.setattr(cc, "_propagate", spy)
+    rep = random_acim(sys, k=k)
+    assert max(widths) == 2  # c_1 + 1 columns
+    assert rep.d1 == 1 and rep.report.p == 1
+    assert max(rep.report.cauchy_gap) <= 1e-13
+    assert abs(rep.lambda1) <= 1e-3
+    dens = rep.densities[0]
+    assert np.mean(dens) == pytest.approx(1.0, abs=1e-12) and np.min(dens) >= -1e-12
+
+
 def test_ulam_cocycle_top_exponent_zero():
     drv = cc.DrivingSystem.iid([0.5, 0.5], seed=8)
     sys = RandomIntervalSystem((doubling_map(), tent_map()), drv)

@@ -324,6 +324,9 @@ def test_smoothing_default_k_is_sandwich_k():
         default = lipschitz_ly_check(FULL, ws, n, [CylinderFunction.constant(FULL, 1.0)])
         assert default.k_constant == sandwich.k_constant
         assert default.r_n == sandwich.r_n
+        passed = lipschitz_ly_check(FULL, ws, n, [CylinderFunction.constant(FULL, 1.0)],
+                                    k_constant=sandwich.k_constant, r_n=sandwich.r_n)
+        assert passed == default
 
 
 # -- norm and covering-number sandwich --------------------------------------------------
