@@ -455,11 +455,9 @@ def lyapunov_exponents(
     m_trunc : track only the leading `m_trunc` directions (default: all).
     burn_in : steps discarded before accumulation; default min(100, n // 10).
 
-    A truncated pass starts from the first `m_trunc` coordinate axes.  QR
-    columns are nested, so its rates are the leading full-width ones unless
-    that start frame misses a fast direction entirely (e.g. block-diagonal
-    generators whose fastest block sits on later coordinates), which then
-    never enters the tracked columns.
+    A truncated pass starts from a fixed random frame, which misses a fast
+    direction only with probability zero; its rates then agree with the
+    full-width ones up to the start-frame transient that `burn_in` damps.
     """
     if window is None:
         if driving is None:
@@ -471,7 +469,8 @@ def lyapunov_exponents(
         raise WindowTooShort(f"need {n} future symbols, window has {window.n_future}")
     k = gen.dim if m_trunc is None else int(m_trunc)
     burn = _default_burn(n) if burn_in is None else int(burn_in)
-    q, steps, _, _ = _propagate(gen.stack, window.symbols(0, n), np.eye(gen.dim, k))
+    q, steps, _, _ = _propagate(gen.stack, window.symbols(0, n),
+                                None if m_trunc is None else _start_frame(gen.dim, k))
     _, rates = _sorted_columns(q, steps, burn)
     blocks = _group_blocks(rates, gap_tolerance)
     return _resolvable(blocks, kappa_estimate, gap_tolerance)
@@ -535,13 +534,20 @@ def forward_filtration(
     return out
 
 
-def _complement(w: np.ndarray, c: int) -> np.ndarray:
-    """An orthonormal frame of the orthogonal complement of w[:, :c], w an
-    orthonormal frame: its remaining columns when w is square, else the tail
-    of one complete QR of w[:, :c]."""
-    if w.shape[1] == w.shape[0]:
-        return w[:, c:]
-    return np.linalg.qr(w[:, :c], mode="complete")[0][:, c:]
+def _start_frame(m: int, width: int, lead: np.ndarray | None = None) -> np.ndarray:
+    """The first `width` columns of one fixed orthonormal m-frame: the
+    columns of `lead`, then a fixed-seed Gaussian draw, orthonormalised in
+    that order.
+
+    A random draw misses no direction except with probability zero, unlike
+    coordinate axes (an invariant density can vanish on the first bins).
+    Rows of the draw are filled in order, so frames of different widths are
+    nested."""
+    g = np.random.default_rng(0).standard_normal((width, m)).T
+    if lead is not None:
+        r = min(lead.shape[1], width)
+        g[:, :r] = lead[:, :r]
+    return _qr_pos(g)[0]
 
 
 def _orthonormal_image(matrix: np.ndarray, sub: Subspace) -> Subspace | None:
@@ -566,6 +572,7 @@ def oseledets_splitting(
     burn_in: int | None = None,
     check_convergence: bool = True,
     blocks: int | None = None,
+    start: np.ndarray | None = None,
 ) -> SpectrumReport:
     """Equivariant splitting at the window origin with diagnostics.
 
@@ -581,12 +588,16 @@ def oseledets_splitting(
     resolvable); the default computes every resolvable block.  With
     c_p = d_1 + ... + d_p, the reverse pass then tracks c_p + 1 columns (the
     last one resolves the gap below block p) and the forward pushes c_p.  It
-    starts from the first p + 1 coordinate axes and doubles its width, up to
-    m, while the tracked rates do not close block p.  QR columns are nested,
-    so blocks 1..p agree with the full-width ones up to rounding, unless the
-    start frame misses a fast direction entirely (e.g. block-diagonal
-    generators whose fastest block sits on later coordinates), as with
-    `lyapunov_exponents(m_trunc=)`.  Only the checks of blocks 1..p run.
+    starts from p + 1 columns of one fixed random orthonormal frame, led by
+    the columns of `start` when given, and doubles its width, up to m, while
+    the tracked rates do not close block p.  A random frame misses a fast
+    direction only with probability zero.  QR columns are nested, so blocks
+    1..p agree up to rounding with those of blocks=m, which tracks all m
+    columns of the same frame; the default pass starts from the coordinate
+    axes instead, and agrees up to the start-frame transient of the rate
+    estimates.  `start` should lead with directions known to reach the top
+    block (the constant vector for a transfer operator's adjoint, which fixes
+    it).  Only the checks of blocks 1..p run.
 
     Raises NonConvergence when the Cauchy gap exceeds `convergence_tolerance`
     (disable with check_convergence=False), and BlockDegeneracy when a block
@@ -619,7 +630,8 @@ def oseledets_splitting(
     width = m if blocks is None else min(blocks + 1, m)
     while True:
         _, steps, rev, _ = _propagate(
-            mats, window.symbols(-n_past, n_future), np.eye(m, width), reverse=True,
+            mats, window.symbols(-n_past, n_future),
+            None if blocks is None else _start_frame(m, width, start), reverse=True,
             record={n_total, t_half, n_future, t1})
         # spectrum from the full-window product
         _, rates = _sorted_columns(rev[n_total], steps, burn)
@@ -637,23 +649,21 @@ def oseledets_splitting(
     ends = list(np.cumsum(mults))
     p, c_p = len(found), ends[-1]
 
-    # filtration frames at coordinates 0 and 1; `slow` spans the complement
-    # of the fast c_p columns at 0, so V_{i+1} at 0 is slow_from(c_i) =
-    # span(W_{c_i:c_p}, slow)
+    # filtration frames at coordinates 0 and 1; `slow`, the tail of one
+    # complete QR of the fast c_p columns at 0, spans their orthogonal
+    # complement, so V_{i+1} at 0 is slow_from(c_i) = span(W_{c_i:c_p}, slow)
     w0, r0rates = _sorted_columns(rev[n_future], steps[:n_future])
     w1, _ = _sorted_columns(rev[t1], steps[:t1])
     _check_block_boundaries(r0rates, ends + [m], gap_tolerance, n_future)
-    slow = _complement(w0, c_p)
+    slow = np.linalg.qr(w0[:, :c_p], mode="complete")[0][:, c_p:]
 
     def slow_from(c):
         return np.hstack([w0[:, c:c_p], slow])
 
-    # fast frames at coordinates 0 and 1 (push-forward of far-past directions);
-    # a top-block run pushes only the c_p columns its blocks use, the default
-    # every column, which keeps its frames bit for bit
+    # fast frames at coordinates 0 and 1 (push-forward of the c_p far-past
+    # directions the blocks use)
     u_far, _ = _sorted_columns(rev[n_total], steps, _default_burn(n_total))
-    fast = slice(None) if blocks is None else slice(c_p)
-    _, _, fw, _ = _propagate(mats, window.symbols(-n_past, 1), u_far[:, fast],
+    _, _, fw, _ = _propagate(mats, window.symbols(-n_past, 1), u_far[:, :c_p],
                              record={n_past, n_past + 1})
     q0, q1 = fw[n_past], fw[n_past + 1]
 
@@ -694,7 +704,7 @@ def oseledets_splitting(
     cauchy = []
     if check_convergence and n_past >= 2:
         u_half, _ = _sorted_columns(rev[t_half], steps[:t_half], _default_burn(t_half))
-        q_half = _propagate(mats, window.symbols(-half, 0), u_half[:, fast])[0]
+        q_half = _propagate(mats, window.symbols(-half, 0), u_half[:, :c_p])[0]
         for e_full, e_half in zip(splitting, blockwise(q_half, w0)):
             cauchy.append(gap(e_full, e_half))
         worst = max(cauchy)

@@ -720,8 +720,11 @@ def random_acim(
     integral one.  Only E_1 is computed (`blocks=1` in the splitting), so the
     passes track d_1 + 1 columns rather than all k, and the Ulam blocks
     nearer the expansion index, spurious or not, are neither computed nor
-    checked.  The expansion-index estimate feeds the splitting as the
-    threshold below which blocks are not exceptional.
+    checked.  The reverse pass starts from the constant vector, which every
+    transposed Ulam matrix fixes and which pairs positively with every
+    density, so the top rate carries no start-up transient and no density
+    is missed, wherever it lives.  The expansion-index estimate feeds the
+    splitting as the threshold below which blocks are not exceptional.
 
     Raises ExpansionTooWeak when the system is not expanding on average.
     """
@@ -737,7 +740,7 @@ def random_acim(
         window = sys.driving.sample_window(n_past, n_future)
     report = _cocycle.oseledets_splitting(
         gen, None, window, n_past=n_past, n_future=n_future,
-        kappa_estimate=kappa, blocks=1, **splitting_kwargs)
+        kappa_estimate=kappa, blocks=1, start=np.ones((k, 1)), **splitting_kwargs)
     d1 = report.multiplicities[0]
     e1 = report.splitting[0]
     densities = []

@@ -8,6 +8,7 @@ from oseledets.errors import (
     PreconditionANotLessThan1,
     QuadratureFailure,
 )
+from oseledets.grassmann import Subspace, gap
 from oseledets.interval import (
     BVFunction,
     Branch,
@@ -396,6 +397,47 @@ def test_acim_ignores_spurious_ulam_blocks(k, seed, monkeypatch):
     assert abs(rep.lambda1) <= 1e-3
     dens = rep.densities[0]
     assert np.mean(dens) == pytest.approx(1.0, abs=1e-12) and np.min(dens) >= -1e-12
+
+
+# No invariant density charges the first bins of these maps.  LEAKY triples
+# [0, 1/3] onto [0, 1/2] and [1/3, 1] onto [1/2, 1], so the left half is
+# transient (it keeps 2/3 of its mass per step) and the density is 2 on the
+# right half.  HALVES doubles each half onto itself: two invariant densities.
+LEAKY = affine_map([[0, 1 / 6, 3, 0], [1 / 6, 1 / 3, 3, -0.5], [1 / 3, 1 / 2, 3, -0.5],
+                    [1 / 2, 2 / 3, 3, -1], [2 / 3, 5 / 6, 3, -1.5], [5 / 6, 1, 3, -2]])
+HALVES = affine_map([[0, 0.25, 2, 0], [0.25, 0.5, 2, -0.5], [0.5, 0.75, 2, -0.5],
+                     [0.75, 1, 2, -1]])
+
+
+def acim_and_full_width(t, k):
+    drv = cc.DrivingSystem.iid([1.0], seed=0)
+    sys = RandomIntervalSystem((t,), drv)
+    window = drv.sample_window(200, 50)
+    rep = random_acim(sys, window, k=k)
+    full = cc.oseledets_splitting(density_generator(sys, k), None, window, n_past=200,
+                                  n_future=50, kappa_estimate=rep.kappa_star)
+    return rep, full
+
+
+@pytest.mark.parametrize("k", [12, 24])
+def test_acim_density_vanishing_on_first_bins(k):
+    rep, full = acim_and_full_width(LEAKY, k)
+    assert full.multiplicities[:2] == (1, 1)
+    assert full.exponents[1] == pytest.approx(np.log(2 / 3), abs=1e-12)
+    assert rep.d1 == 1 and rep.report.p == 1
+    assert abs(rep.lambda1) <= 1e-12 and abs(full.exponents[0]) <= 1e-12
+    assert gap(rep.report.splitting[0], full.splitting[0]) <= 1e-12
+    assert np.max(np.abs(rep.densities[0] - np.repeat([0.0, 2.0], k // 2))) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [8, 32, 128])
+def test_acim_two_invariant_halves(k):
+    rep, full = acim_and_full_width(HALVES, k)
+    halves = Subspace(np.kron(np.eye(2), np.ones((k // 2, 1))) / np.sqrt(k / 2))
+    assert rep.d1 == full.multiplicities[0] == 2 and len(rep.densities) == 2
+    assert abs(rep.lambda1) <= 1e-12 and abs(full.exponents[0]) <= 1e-12
+    assert gap(rep.report.splitting[0], halves) <= 1e-12
+    assert gap(full.splitting[0], halves) <= 1e-12
 
 
 def test_ulam_cocycle_top_exponent_zero():
