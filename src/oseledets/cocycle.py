@@ -294,7 +294,7 @@ def _default_burn(n: int) -> int:
     return min(100, n // 10)
 
 
-def _propagate(mats, symbols, q=None, *, reverse=False, record=(), keep_r=False):
+def _propagate(mats, symbols, q=None, *, reverse=False, record=()):
     """The QR propagation loop: Q <- qr(A_s Q) for s in `symbols`, R > 0 on
     the diagonal.
 
@@ -302,9 +302,8 @@ def _propagate(mats, symbols, q=None, *, reverse=False, record=(), keep_r=False)
     start frame (default: the identity).  With reverse=True the transposed
     factors are applied in reverse symbol order, so after t steps Q is the
     frame of the transposed product over the last t symbols.  Returns the
-    final Q, the per-step log|diag R| as a (steps, columns) array, {t: Q after
-    t steps} for t in `record`, and the list of R factors when `keep_r`
-    (else None).
+    final Q, the per-step log|diag R| as a (steps, columns) array and {t: Q
+    after t steps} for t in `record`.
 
     For m <= 3 a step runs on Python floats on vectors zero-padded to length
     3: Gram-Schmidt, applied twice, orthonormalises the columns of A_s Q.  A
@@ -321,31 +320,26 @@ def _propagate(mats, symbols, q=None, *, reverse=False, record=(), keep_r=False)
     recorded = {0: q} if 0 in record else {}
     if m > 3:
         steps = np.empty((n, k))
-        rs = [] if keep_r else None
         with np.errstate(divide="ignore"):
             for t, s in enumerate(symbols.tolist(), 1):
                 q, r = _qr_pos(mats[s] @ q)
                 steps[t - 1] = np.log(np.abs(np.diag(r)))
                 if t in record:
                     recorded[t] = q
-                if keep_r:
-                    rs.append(r)
-        return q, steps, recorded, rs
+        return q, steps, recorded
 
     def frame():  # the columns as an (m, k) array
         return np.reshape(cols, (k, 3))[:, :m].T
 
     gens = np.pad(mats, ((0, 0), (0, 3 - m), (0, 3 - m))).reshape(-1, 9).tolist()
     cols = np.pad(q.T, ((0, 0), (0, 3 - m))).tolist()
-    diag, rflat = array("d"), array("d")  # |R_jj| per step; R^T per step
+    diag = array("d")  # |R_jj| per step
     for t, s in enumerate(symbols.tolist(), 1):
         a0, a1, a2, a3, a4, a5, a6, a7, a8 = gens[s]
         new = []
         for x, y, z in cols:
             u, v, w = a0 * x + a1 * y + a2 * z, a3 * x + a4 * y + a5 * z, a6 * x + a7 * y + a8 * z
             ny = u * u + v * v + w * w
-            if keep_r:  # R above the diagonal: the new columns dotted with A_s q
-                rflat.extend([p0 * u + p1 * v + p2 * w for p0, p1, p2 in new])
             for p0, p1, p2 in new + new:  # Gram-Schmidt twice
                 d = p0 * u + p1 * v + p2 * w
                 u, v, w = u - d * p0, v - d * p1, w - d * p2
@@ -354,24 +348,19 @@ def _propagate(mats, symbols, q=None, *, reverse=False, record=(), keep_r=False)
                 break
             nrm = sqrt(nw)
             diag.append(nrm)
-            if keep_r:
-                rflat.extend([nrm] + [0.0] * (k - 1 - len(new)))
             new.append((u / nrm, v / nrm, w / nrm))
         if len(new) < k:  # drop what this step wrote and redo it with numpy
-            del diag[(t - 1) * k:], rflat[(t - 1) * k * k:]
+            del diag[(t - 1) * k:]
             qn, r = _qr_pos(mats[s] @ frame())
             new = np.pad(qn.T, ((0, 0), (0, 3 - m))).tolist()
             diag.extend(np.diag(r).tolist())
-            if keep_r:
-                rflat.extend(r.T.ravel().tolist())
         cols = new
         if t in record:
             recorded[t] = frame()
     steps = np.frombuffer(diag).reshape(n, k)
     with np.errstate(divide="ignore"):
         np.log(steps, out=steps)
-    rs = list(np.frombuffer(rflat).reshape(n, k, k).transpose(0, 2, 1)) if keep_r else None
-    return recorded[n] if n in recorded else frame(), steps, recorded, rs
+    return recorded[n] if n in recorded else frame(), steps, recorded
 
 
 def _mean_rates(steps: np.ndarray, burn: int = 0) -> np.ndarray:
@@ -469,8 +458,8 @@ def lyapunov_exponents(
         raise WindowTooShort(f"need {n} future symbols, window has {window.n_future}")
     k = gen.dim if m_trunc is None else int(m_trunc)
     burn = _default_burn(n) if burn_in is None else int(burn_in)
-    q, steps, _, _ = _propagate(gen.stack, window.symbols(0, n),
-                                None if m_trunc is None else _start_frame(gen.dim, k))
+    q, steps, _ = _propagate(gen.stack, window.symbols(0, n),
+                             None if m_trunc is None else _start_frame(gen.dim, k))
     _, rates = _sorted_columns(q, steps, burn)
     blocks = _group_blocks(rates, gap_tolerance)
     return _resolvable(blocks, kappa_estimate, gap_tolerance)
@@ -483,7 +472,7 @@ def directional_exponent(gen: Generator, window: OmegaWindow, n: int,
     nv = np.linalg.norm(v)
     if nv == 0:
         return float("-inf")
-    _, steps, _, _ = _propagate(gen.stack, window.symbols(0, n), (v / nv)[:, None])
+    _, steps, _ = _propagate(gen.stack, window.symbols(0, n), (v / nv)[:, None])
     return float(_mean_rates(steps)[0])
 
 
@@ -516,7 +505,7 @@ def forward_filtration(
     if n > window.n_future:
         raise WindowTooShort(f"need {n} future symbols, window has {window.n_future}")
     burn = _default_burn(n) if burn_in is None else int(burn_in)
-    w, steps, _, _ = _propagate(gen.stack, window.symbols(0, n), reverse=True)
+    w, steps, _ = _propagate(gen.stack, window.symbols(0, n), reverse=True)
     w, rates = _sorted_columns(w, steps, burn)
     m = gen.dim
     ends = []
@@ -629,12 +618,12 @@ def oseledets_splitting(
     # until p closed blocks are resolvable or a closed block is not.
     width = m if blocks is None else min(blocks + 1, m)
     while True:
-        _, steps, rev, _ = _propagate(
+        _, steps, rev = _propagate(
             mats, window.symbols(-n_past, n_future),
             None if blocks is None else _start_frame(m, width, start), reverse=True,
             record={n_total, t_half, n_future, t1})
-        # spectrum from the full-window product
-        _, rates = _sorted_columns(rev[n_total], steps, burn)
+        # spectrum from the full-window product, and its frame at -n_past
+        u_far, rates = _sorted_columns(rev[n_total], steps, burn)
         grouped = _group_blocks(rates, gap_tolerance)
         closed = grouped if width == m else grouped[:-1]
         found = _resolvable(closed, kappa_estimate, gap_tolerance)
@@ -662,9 +651,8 @@ def oseledets_splitting(
 
     # fast frames at coordinates 0 and 1 (push-forward of the c_p far-past
     # directions the blocks use)
-    u_far, _ = _sorted_columns(rev[n_total], steps, _default_burn(n_total))
-    _, _, fw, _ = _propagate(mats, window.symbols(-n_past, 1), u_far[:, :c_p],
-                             record={n_past, n_past + 1})
+    _, _, fw = _propagate(mats, window.symbols(-n_past, 1), u_far[:, :c_p],
+                          record={n_past, n_past + 1})
     q0, q1 = fw[n_past], fw[n_past + 1]
 
     def blockwise(qf, wf):
@@ -736,6 +724,19 @@ def oseledets_splitting(
 # diagnostics
 # ---------------------------------------------------------------------------
 
+def _step_factors(mats, symbols, frames):
+    """The R factors of a QR pass over `symbols` from its frames {t: Q_t},
+    t = 0..len(symbols), as one (steps, k, k) array.
+
+    A_{s_t} Q_{t-1} = Q_t R_t makes R_t = Q_t^T A_{s_t} Q_{t-1}.  The product
+    is cut to its upper triangle: the rounding below the diagonal, carried
+    through a long product, mixes the directions of distinct rates and makes
+    them look like one conformal block.
+    """
+    q = np.stack([frames[t] for t in range(len(symbols) + 1)])
+    return np.triu(q[1:].transpose(0, 2, 1) @ mats[symbols] @ q[:-1])
+
+
 def uniform_growth_check(
     gen: Generator,
     window: OmegaWindow,
@@ -751,10 +752,11 @@ def uniform_growth_check(
     """
     if n > window.n_future:
         raise WindowTooShort(f"need {n} future symbols, window has {window.n_future}")
-    _, _, _, rs = _propagate(gen.stack, window.symbols(0, n), e.frame, keep_r=True)
+    mats, symbols = gen.stack, window.symbols(0, n)
+    frames = _propagate(mats, symbols, e.frame, record=range(n + 1))[2]
     acc = np.eye(e.d)
     log_scale = 0.0
-    for r in rs:
+    for r in _step_factors(mats, symbols, frames):
         acc = r @ acc
         s = np.max(np.abs(acc))
         if s > 1e100 or (0 < s < 1e-100):
@@ -777,8 +779,7 @@ def backward_decay_check(
     v0: np.ndarray | None = None,
     fit_fraction: float = 0.2,
     cond_limit: float = 1e12,
-    return_series: bool = False,
-):
+) -> float:
     """Fitted backward growth rate (1/n) log ||v_{-n}|| of the full orbit
     through v_0 in E_i; the contract is convergence to minus the block's
     exponent.
@@ -794,13 +795,13 @@ def backward_decay_check(
     if window.n_past < n_past + burn:
         raise WindowTooShort(f"need {n_past + burn} past symbols, window has {window.n_past}")
     start = -(n_past + burn)
-    # dominant directions at the far past, pushed forward while the upper
-    # triangular one-step factors on the fast sum are recorded
+    # dominant directions at the far past, pushed forward with every frame
+    # recorded for the upper triangular one-step factors on the fast sum
     mats, symbols = gen.stack, window.symbols(start, 0)
-    u_far, steps, _, _ = _propagate(mats, symbols, reverse=True)
+    u_far, steps, _ = _propagate(mats, symbols, reverse=True)
     q = _sorted_columns(u_far, steps, min(burn, len(symbols) // 2))[0][:, :c_i]
-    q, _, _, r_blocks = _propagate(mats, symbols, q, keep_r=True)
-    r_blocks = r_blocks[burn:]
+    q, _, frames = _propagate(mats, symbols, q, record=range(len(symbols) + 1))
+    r_blocks = _step_factors(mats, symbols, frames)[burn:]
     # q now spans the fast sum at coordinate 0
     e_i = report.splitting[i - 1]
     v = e_i.frame[:, 0] if v0 is None else np.asarray(v0, dtype=float)
@@ -813,25 +814,20 @@ def backward_decay_check(
     log_norm = np.log(np.linalg.norm(a))
     a = a / np.linalg.norm(a)
     base = log_norm
-    from scipy.linalg import solve_triangular
-
     for k in range(1, n_past + 1):
         r = r_blocks[-k]
         cond = np.linalg.cond(r)
         if not np.isfinite(cond) or cond > cond_limit:
             raise RestrictedSingular(
                 f"restricted step at -{k} has condition number {cond:.3e}")
-        a = solve_triangular(r, a, lower=False)
+        a = np.linalg.solve(r, a)
         na = np.linalg.norm(a)
         log_norm += np.log(na)
         a = a / na
         norms[k] = log_norm - base
     ks = np.arange(n_past + 1)
     skip = max(1, int(fit_fraction * n_past))
-    slope = np.polyfit(ks[skip:], norms[skip:], 1)[0]
-    if return_series:
-        return float(slope), norms
-    return float(slope)
+    return float(np.polyfit(ks[skip:], norms[skip:], 1)[0])
 
 
 def uniqueness_diagnostic(
@@ -870,15 +866,15 @@ def uniqueness_diagnostic(
 
     # one reverse pass: the far-past frame to push forward, and the
     # filtration frames at coordinates k = 0..n (after n + tail - k steps)
-    _, steps, rev, _ = _propagate(mats, window.symbols(-n_past, n + tail), reverse=True,
-                                  record={n_total, *range(tail, n + tail + 1)})
+    _, steps, rev = _propagate(mats, window.symbols(-n_past, n + tail), reverse=True,
+                               record={n_total, *range(tail, n + tail + 1)})
     u_far, _ = _sorted_columns(rev[n_total], steps, _default_burn(n_total))
-    _, _, fw, _ = _propagate(mats, window.symbols(-n_past, n), u_far,
-                             record=range(n_past, n_past + n + 1))
+    _, _, fw = _propagate(mats, window.symbols(-n_past, n), u_far,
+                          record=range(n_past, n_past + n + 1))
     # the candidate's pushes; a step collapses it when its smallest
     # |diag R| is below 1e-12 * max(1, largest |diag R|)
-    _, cand_steps, cands, _ = _propagate(mats, window.symbols(0, n), candidate.frame,
-                                         record=range(n + 1))
+    _, cand_steps, cands = _propagate(mats, window.symbols(0, n), candidate.frame,
+                                      record=range(n + 1))
     collapsed = (cand_steps.min(axis=1)
                  <= np.log(1e-12) + np.maximum(cand_steps.max(axis=1), 0.0))
 
@@ -948,7 +944,7 @@ def noncommuting_base_demo(
     per_window_gaps = []
     for w in pasts:
         n_p, n_f = w.n_past, w.n_future
-        u_far, steps, _, _ = _propagate(mats, w.symbols(-n_p, n_f), reverse=True)
+        u_far, steps, _ = _propagate(mats, w.symbols(-n_p, n_f), reverse=True)
         rates = _mean_rates(steps, min(20, (n_p + n_f) // 5))
         per_window_gaps.append(abs(rates[0] - rates[1]))
         top = int(np.argmax(rates))

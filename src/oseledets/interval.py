@@ -358,11 +358,6 @@ class BVFunction:
         return float(min(np.min(self.left_values), np.min(self.right_values)))
 
 
-def variation(f: BVFunction) -> float:
-    """Exact total variation of a piecewise-affine function."""
-    return f.variation()
-
-
 # ---------------------------------------------------------------------------
 # transfer operator
 # ---------------------------------------------------------------------------

@@ -504,15 +504,14 @@ def test_kernel_modes_match_exact_products():
     window = DrivingSystem.iid([0.5, 0.5], seed=43).sample_window(0, 12)
     symbols = window.symbols(0, 12)
     prod = compose(gen, window, 12)
-    q, steps, recorded, rs = cc._propagate(gen.stack, symbols, record={0, 12},
-                                           keep_r=True)
+    q, steps, recorded = cc._propagate(gen.stack, symbols, record=range(13))
     q_ref, r_ref = cc._qr_pos(prod)
     assert np.allclose(q, q_ref, atol=1e-10)
     assert np.allclose(steps.sum(axis=0), np.log(np.diag(r_ref)), atol=1e-10)
-    r_total = np.linalg.multi_dot(rs[::-1])
+    r_total = np.linalg.multi_dot(list(cc._step_factors(gen.stack, symbols, recorded))[::-1])
     assert np.allclose(r_total, r_ref, atol=1e-10)
     assert np.array_equal(recorded[0], np.eye(3)) and recorded[12] is q
-    q_rev, steps_rev, _, _ = cc._propagate(gen.stack, symbols, reverse=True)
+    q_rev, steps_rev, _ = cc._propagate(gen.stack, symbols, reverse=True)
     q_ref, r_ref = cc._qr_pos(prod.T)
     assert np.allclose(q_rev, q_ref, atol=1e-10)
     assert np.allclose(steps_rev.sum(axis=0), np.log(np.diag(r_ref)), atol=1e-10)
@@ -535,8 +534,7 @@ def reference_propagate(mats, symbols, q, reverse=False, qr_pos=cc._qr_pos):
 def assert_matches_reference(mats, symbols, q0, reverse, qr_pos=cc._qr_pos):
     n = len(symbols)
     record = {0, n // 3, n}
-    q, steps, recorded, rs = cc._propagate(mats, symbols, q0, reverse=reverse,
-                                           record=record, keep_r=True)
+    q, steps, recorded = cc._propagate(mats, symbols, q0, reverse=reverse, record=record)
     q_ref, steps_ref, rec_ref, rs_ref = reference_propagate(mats, symbols, q0, reverse, qr_pos)
     assert steps.shape == steps_ref.shape and q.shape == q_ref.shape
     assert np.array_equal(np.isneginf(steps), np.isneginf(steps_ref))
@@ -545,9 +543,13 @@ def assert_matches_reference(mats, symbols, q0, reverse, qr_pos=cc._qr_pos):
     assert set(recorded) == record and recorded[n] is q and recorded[0] is q0
     for t in record:
         assert np.max(np.abs(recorded[t] - rec_ref[t]), initial=0.0) <= 1e-13
-    # the R factors: upper triangular with a positive diagonal where the
-    # reference's is positive, each within round-off of the reference, and
-    # with the same running product
+    # the R factors rebuilt from the frames of every step: upper triangular
+    # with a positive diagonal where the reference's is positive, each within
+    # round-off of the reference, and with the same running product
+    frames = cc._propagate(mats, symbols, q0, reverse=reverse, record=range(n + 1))[2]
+    if reverse:
+        mats, symbols = mats.transpose(0, 2, 1), symbols[::-1]
+    rs = cc._step_factors(mats, symbols, frames)
     assert len(rs) == n
     prod, prod_ref = np.eye(q0.shape[1]), np.eye(q0.shape[1])
     for r, r_ref in zip(rs, rs_ref):
@@ -615,7 +617,7 @@ def test_scalar_kernel_falls_back_on_zero_pivot(monkeypatch, reverse):
     regular = np.array([[0.5, -1.0, 0.0], [2.0, 0.3, 0.0], [0.0, 0.0, 2.0]])
     mats = np.stack([singular, regular])
     symbols = DrivingSystem.iid([0.5, 0.5], seed=12).sample_window(0, 40).future
-    _, steps, _, _ = cc._propagate(mats, symbols, reverse=reverse)
+    _, steps, _ = cc._propagate(mats, symbols, reverse=reverse)
     assert len(calls) == np.count_nonzero(symbols == 0) > 0
     assert np.array_equal(np.isneginf(steps[:, 2]), (symbols[::-1] if reverse else symbols) == 0)
     assert_matches_reference(mats, symbols, np.eye(3), reverse, qr_pos)
@@ -628,7 +630,7 @@ def test_scalar_kernel_falls_back_on_cancelled_column(monkeypatch):
     s = np.eye(3) + 0.4 * np.random.default_rng(0).normal(size=(3, 3))
     mats = (s @ np.diag([3.0, 1.0, 0.0]) @ np.linalg.inv(s))[None]
     calls = count_qr_pos_calls(monkeypatch)
-    q, steps, _, _ = cc._propagate(mats, np.zeros(30, dtype=int))
+    q, steps, _ = cc._propagate(mats, np.zeros(30, dtype=int))
     assert len(calls) == 30
     assert np.max(np.abs(q.T @ q - np.eye(3))) <= 1e-14
     assert np.all(steps[:, 2] < np.log(1e-10) + steps[:, 0])
@@ -651,10 +653,10 @@ def test_scalar_kernel_orthonormal_on_ill_conditioned_steps():
 def test_scalar_kernel_without_steps():
     # no symbols: the start frame comes back with an empty (0, k) step log
     q0 = np.eye(3, 2)
-    q, steps, recorded, rs = cc._propagate(np.eye(3)[None], np.zeros(0, dtype=int), q0,
-                                           record={0}, keep_r=True)
+    mats, symbols = np.eye(3)[None], np.zeros(0, dtype=int)
+    q, steps, recorded = cc._propagate(mats, symbols, q0, record={0})
     assert q is q0 and list(recorded) == [0] and recorded[0] is q0
-    assert steps.shape == (0, 2) and rs == []
+    assert steps.shape == (0, 2) and cc._step_factors(mats, symbols, recorded).shape == (0, 2, 2)
 
 
 def test_splitting_propagation_step_count(monkeypatch):
@@ -731,6 +733,18 @@ def test_uniform_growth_random_conformal_cocycle():
     lo, hi = uniform_growth_check(gen, w,
                                   Subspace.span([1.0, 0, 0], [0, 1.0, 0]), 10_000)
     assert hi - lo <= 5e-2
+
+
+def test_uniform_growth_separated_rates_not_conformal():
+    # positive generators: two distinct rates on span(e1, e2).  Rounding
+    # below the diagonal of the one-step factors, carried through 10 000
+    # steps, would bring the smallest rate up to the largest (lo = 1.2990
+    # against hi = 1.3069)
+    rng = np.random.default_rng(1)
+    gen = Generator.from_list([rng.uniform(0.5, 2.0, size=(3, 3)) for _ in range(2)])
+    w = DrivingSystem.iid([0.5, 0.5], seed=21).sample_window(0, 10_000)
+    lo, hi = uniform_growth_check(gen, w, Subspace.span([1.0, 0, 0], [0, 1.0, 0]), 10_000)
+    assert lo < hi - 1
 
 
 def test_backward_decay_constant_diagonal():

@@ -398,9 +398,9 @@ def test_console_entry_point(tmp_path, child_env):
 
 def test_cli_import_skips_scipy_optimize(tmp_path, child_env):
     # scipy is most of the CLI's import time; only non-affine interval
-    # branches and backward_decay_check need it, and they import it on first
-    # use.  Neither the CLI import nor a cocycle, affine-interval or sft run
-    # loads any scipy module.
+    # branches need it, and they import it on first use.  Neither the CLI
+    # import, nor a cocycle, affine-interval or sft run, nor the growth and
+    # decay diagnostics load any scipy module.
     paths = [write_cfg(tmp_path, text, name=f"{i}.cfg")
              for i, text in enumerate((COCYCLE_CFG, INTERVAL_CFG, SFT_CFG))]
     script = (
@@ -413,11 +413,19 @@ def test_cli_import_skips_scipy_optimize(tmp_path, child_env):
         "print(loaded())\n"
         "for path in sys.argv[1:]:\n"
         "    assert runner.run(load_config(path))['status'] == 'ok', path\n"
-        "    print(loaded())\n")
+        "    print(loaded())\n"
+        "import numpy as np\n"
+        "from oseledets import cocycle as cc\n"
+        "gen = cc.Generator.from_list([np.diag([2.0, 0.5]), np.diag([3.0, 0.25])])\n"
+        "w = cc.DrivingSystem.iid([0.5, 0.5], seed=1).sample_window(300, 60)\n"
+        "rep = cc.oseledets_splitting(gen, None, w, n_past=200, n_future=50)\n"
+        "cc.backward_decay_check(gen, w, rep, 1, 100)\n"
+        "cc.uniform_growth_check(gen, w, rep.splitting[0], 50)\n"
+        "print(loaded())\n")
     proc = subprocess.run([sys.executable, "-c", script, *paths],
                           capture_output=True, text=True, env=child_env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n") == ["[]"] * 4 + [""]
+    assert proc.stdout.split("\n") == ["[]"] * 5 + [""]
 
 
 TWO_MATRIX_CFG = COCYCLE_CFG.replace("[[2, 0], [0, 0.5]]",
