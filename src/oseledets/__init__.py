@@ -31,7 +31,6 @@ from .cocycle import (
     backward_decay_check,
     uniqueness_diagnostic,
     noncommuting_base_demo,
-    sweep_reports,
 )
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "backward_decay_check",
     "uniqueness_diagnostic",
     "noncommuting_base_demo",
-    "sweep_reports",
 ]
 
 __version__ = "0.1.0"

@@ -105,17 +105,16 @@ class DrivingSystem:
         seq.setflags(write=False)
         return OmegaWindow(seq, n_past)
 
-    def sample_windows(self, count: int, n_past: int, n_future: int,
-                       start_stream: int = 0) -> list["OmegaWindow"]:
-        return [self.sample_window(n_past, n_future, stream=start_stream + i)
-                for i in range(count)]
+    def sample_windows(self, count: int, n_past: int, n_future: int) -> list["OmegaWindow"]:
+        """Window i is `sample_window(n_past, n_future, stream=i)`."""
+        return [self.sample_window(n_past, n_future, stream=i) for i in range(count)]
 
-    def sample_past_variants(self, count: int, n_past: int, n_future: int,
-                             future_stream: int = 0) -> list["OmegaWindow"]:
-        """Windows sharing one sampled future but with independent pasts."""
-        future = self.sample_window(0, n_future, stream=future_stream).seq
-        pasts = (self.sample_window(n_past, 0, stream=future_stream + 1 + i).seq
-                 for i in range(count))
+    def sample_past_variants(self, count: int, n_past: int,
+                             n_future: int) -> list["OmegaWindow"]:
+        """Windows sharing the future of stream 0, with the past of stream
+        1 + i in window i."""
+        future = self.sample_window(0, n_future).seq
+        pasts = (self.sample_window(n_past, 0, stream=1 + i).seq for i in range(count))
         return [OmegaWindow(np.concatenate([past, future]), n_past) for past in pasts]
 
 
@@ -221,8 +220,8 @@ class SpectrumReport:
     `filtration` holds the proper filtration spaces V_2, V_3, ... (V_1 is the
     whole space); `splitting` holds E_1, ..., E_p.  The residuals are, per
     block, the equivariance gaps, the self-applied uniqueness values and the
-    convergence (Cauchy) gaps (empty when not checked), plus the smallest
-    singular value of the concatenated splitting frames.
+    convergence (Cauchy) gaps, plus the smallest singular value of the
+    concatenated splitting frames.
     """
 
     exponents: tuple[float, ...]
@@ -422,31 +421,24 @@ def lyapunov_exponents(
     gen: Generator,
     driving: DrivingSystem | None = None,
     n: int = 1000,
-    m_trunc: int | None = None,
     *,
     window: OmegaWindow | None = None,
-    burn_in: int | None = None,
     gap_tolerance: float = GAP_TOLERANCE,
     kappa_estimate: float | None = None,
 ) -> list[tuple[float, int]]:
     """Estimated Lyapunov exponents with multiplicities, in decreasing order.
 
     Long products are never formed: the QR-accumulated mean of log diagonal
-    growth over steps (burn_in, n] estimates the log singular value rates of
-    the n-step product.  Rates closer than `gap_tolerance` merge into one
-    multiplicity block; blocks at or below `kappa_estimate` (when supplied)
-    or below the floating-point floor are dropped.
+    growth over steps (burn, n], burn = min(100, n // 10), estimates the log
+    singular value rates of the n-step product.  Rates closer than
+    `gap_tolerance` merge into one multiplicity block; blocks at or below
+    `kappa_estimate` (when supplied) or below the floating-point floor are
+    dropped.
 
     Parameters
     ----------
     gen, driving : the cocycle; `driving` may be omitted when `window` is given.
     n : number of steps (requires n future symbols).
-    m_trunc : track only the leading `m_trunc` directions (default: all).
-    burn_in : steps discarded before accumulation; default min(100, n // 10).
-
-    A truncated pass starts from a fixed random frame, which misses a fast
-    direction only with probability zero; its rates then agree with the
-    full-width ones up to the start-frame transient that `burn_in` damps.
     """
     if window is None:
         if driving is None:
@@ -456,11 +448,8 @@ def lyapunov_exponents(
         raise ValueError("n must be at least 1")
     if n > window.n_future:
         raise WindowTooShort(f"need {n} future symbols, window has {window.n_future}")
-    k = gen.dim if m_trunc is None else int(m_trunc)
-    burn = _default_burn(n) if burn_in is None else int(burn_in)
-    q, steps, _ = _propagate(gen.stack, window.symbols(0, n),
-                             None if m_trunc is None else _start_frame(gen.dim, k))
-    _, rates = _sorted_columns(q, steps, burn)
+    q, steps, _ = _propagate(gen.stack, window.symbols(0, n))
+    _, rates = _sorted_columns(q, steps, _default_burn(n))
     blocks = _group_blocks(rates, gap_tolerance)
     return _resolvable(blocks, kappa_estimate, gap_tolerance)
 
@@ -494,7 +483,6 @@ def forward_filtration(
     spectrum: Sequence[tuple[float, int]],
     *,
     gap_tolerance: float = GAP_TOLERANCE,
-    burn_in: int | None = None,
 ) -> list[Subspace]:
     """Nested slow subspaces V_2 ⊃ V_3 ⊃ ... of the window at coordinate 0.
 
@@ -504,9 +492,8 @@ def forward_filtration(
     """
     if n > window.n_future:
         raise WindowTooShort(f"need {n} future symbols, window has {window.n_future}")
-    burn = _default_burn(n) if burn_in is None else int(burn_in)
     w, steps, _ = _propagate(gen.stack, window.symbols(0, n), reverse=True)
-    w, rates = _sorted_columns(w, steps, burn)
+    w, rates = _sorted_columns(w, steps, _default_burn(n))
     m = gen.dim
     ends = []
     c = 0
@@ -559,7 +546,6 @@ def oseledets_splitting(
     convergence_tolerance: float = CONVERGENCE_TOLERANCE,
     kappa_estimate: float | None = None,
     burn_in: int | None = None,
-    check_convergence: bool = True,
     blocks: int | None = None,
     start: np.ndarray | None = None,
 ) -> SpectrumReport:
@@ -588,12 +574,17 @@ def oseledets_splitting(
     block (the constant vector for a transfer operator's adjoint, which fixes
     it).  Only the checks of blocks 1..p run.
 
-    Raises NonConvergence when the Cauchy gap exceeds `convergence_tolerance`
-    (disable with check_convergence=False), and BlockDegeneracy when a block
-    boundary is not resolved.
+    Raises NonConvergence when a Cauchy gap exceeds `convergence_tolerance`,
+    BlockDegeneracy when a block boundary is not resolved, and ValueError
+    when n_past < 2 (the Cauchy check needs half the past) or `start` is
+    given without `blocks`.
     """
     if blocks is not None and blocks < 1:
         raise ValueError("blocks must be at least 1")
+    if start is not None and blocks is None:
+        raise ValueError("start needs blocks: the default pass starts from the axes")
+    if n_past < 2:
+        raise ValueError("n_past must be at least 2: the Cauchy check uses half the past")
     if window is None:
         if driving is None:
             raise ValueError("need a driving system or an explicit window")
@@ -689,16 +680,13 @@ def oseledets_splitting(
             g0.append(0.0)
 
     # convergence (Cauchy) gaps against half the past length
-    cauchy = []
-    if check_convergence and n_past >= 2:
-        u_half, _ = _sorted_columns(rev[t_half], steps[:t_half], _default_burn(t_half))
-        q_half = _propagate(mats, window.symbols(-half, 0), u_half[:, :c_p])[0]
-        for e_full, e_half in zip(splitting, blockwise(q_half, w0)):
-            cauchy.append(gap(e_full, e_half))
-        worst = max(cauchy)
-        if worst > convergence_tolerance:
-            raise NonConvergence(
-                f"splitting Cauchy gap {worst:.3e} exceeds {convergence_tolerance:.3e}")
+    u_half, _ = _sorted_columns(rev[t_half], steps[:t_half], _default_burn(t_half))
+    q_half = _propagate(mats, window.symbols(-half, 0), u_half[:, :c_p])[0]
+    cauchy = [gap(e_full, e_half) for e_full, e_half in zip(splitting, blockwise(q_half, w0))]
+    worst = max(cauchy)
+    if worst > convergence_tolerance:
+        raise NonConvergence(
+            f"splitting Cauchy gap {worst:.3e} exceeds {convergence_tolerance:.3e}")
 
     frames = [e.frame for e in splitting]
     if c_p < m:
@@ -737,6 +725,21 @@ def _step_factors(mats, symbols, frames):
     return np.triu(q[1:].transpose(0, 2, 1) @ mats[symbols] @ q[:-1])
 
 
+def _log_top_sv(factors: np.ndarray) -> float:
+    """log of the largest singular value of factors[-1] @ ... @ factors[0],
+    accumulated with overflow-safe rescaling by the largest entry."""
+    acc = np.eye(factors.shape[-1])
+    log_scale = 0.0
+    for r in factors:
+        acc = r @ acc
+        s = np.max(np.abs(acc))
+        if s > 1e100 or (0 < s < 1e-100):
+            acc /= s
+            log_scale += np.log(s)
+    with np.errstate(divide="ignore"):
+        return float(np.log(np.linalg.svd(acc, compute_uv=False)[0]) + log_scale)
+
+
 def uniform_growth_check(
     gen: Generator,
     window: OmegaWindow,
@@ -746,26 +749,25 @@ def uniform_growth_check(
     """Extreme growth rates over the unit sphere of `e` under n steps.
 
     Returns (rate_inf, rate_sup): (1/n) log of the smallest and largest
-    singular values of the product restricted to `e`, computed exactly from
-    accumulated QR factors with overflow-safe rescaling.  For an invariant
-    family with a single exponent both rates approach that exponent.
+    singular values of the product R_n ... R_1 of the QR factors of the
+    product restricted to `e`.  The largest comes from that product, the
+    smallest as the reciprocal of the largest of R_1^-1 ... R_n^-1, each
+    accumulated with overflow-safe rescaling, so neither is lost below the
+    rounding of the other.  rate_inf is -inf when a factor has an exact zero
+    on its diagonal.  For an invariant family with a single exponent both
+    rates approach that exponent.
     """
     if n > window.n_future:
         raise WindowTooShort(f"need {n} future symbols, window has {window.n_future}")
     mats, symbols = gen.stack, window.symbols(0, n)
     frames = _propagate(mats, symbols, e.frame, record=range(n + 1))[2]
-    acc = np.eye(e.d)
-    log_scale = 0.0
-    for r in _step_factors(mats, symbols, frames):
-        acc = r @ acc
-        s = np.max(np.abs(acc))
-        if s > 1e100 or (0 < s < 1e-100):
-            acc /= s
-            log_scale += np.log(s)
-    svals = np.linalg.svd(acc, compute_uv=False)
-    with np.errstate(divide="ignore"):
-        logs = np.log(svals) + log_scale
-    return float(logs[-1] / n), float(logs[0] / n)
+    factors = _step_factors(mats, symbols, frames)
+    rate_sup = _log_top_sv(factors) / n
+    if not np.all(np.diagonal(factors, axis1=1, axis2=2)):
+        return float("-inf"), rate_sup
+    # R_1^-1 ... R_n^-1 = inverses[0] @ ... @ inverses[-1]
+    inverses = np.triu(np.linalg.inv(factors))
+    return -_log_top_sv(inverses[::-1]) / n, rate_sup
 
 
 def backward_decay_check(
@@ -774,24 +776,23 @@ def backward_decay_check(
     report: SpectrumReport,
     i: int,
     n_past: int,
-    *,
-    burn: int = 50,
-    v0: np.ndarray | None = None,
-    fit_fraction: float = 0.2,
-    cond_limit: float = 1e12,
 ) -> float:
     """Fitted backward growth rate (1/n) log ||v_{-n}|| of the full orbit
-    through v_0 in E_i; the contract is convergence to minus the block's
-    exponent.
+    through v_0, the first frame column of E_i; the contract is convergence
+    to minus the block's exponent.
 
     The orbit is produced by inverting the one-step maps restricted to the
     fast sum E_1 ⊕ ... ⊕ E_i, within which the backward iteration is
-    self-correcting toward E_i.  Raises RestrictedSingular when a restricted
-    one-step factor has condition number above `cond_limit`.
+    self-correcting toward E_i.  The fast sum comes from a pass that starts
+    50 steps before coordinate -n_past (so the window needs n_past + 50 past
+    symbols); the rate is the least-squares slope of log ||v_{-k}|| over
+    k = max(1, n_past // 5)..n_past.  Raises RestrictedSingular when a
+    restricted one-step factor has condition number above 1e12.
     """
     if i < 1 or i > report.p:
         raise ValueError(f"block index {i} out of range 1..{report.p}")
     c_i = report.block_ends[i - 1]
+    burn = 50
     if window.n_past < n_past + burn:
         raise WindowTooShort(f"need {n_past + burn} past symbols, window has {window.n_past}")
     start = -(n_past + burn)
@@ -803,12 +804,11 @@ def backward_decay_check(
     q, _, frames = _propagate(mats, symbols, q, record=range(len(symbols) + 1))
     r_blocks = _step_factors(mats, symbols, frames)[burn:]
     # q now spans the fast sum at coordinate 0
-    e_i = report.splitting[i - 1]
-    v = e_i.frame[:, 0] if v0 is None else np.asarray(v0, dtype=float)
+    v = report.splitting[i - 1].frame[:, 0]
     a = q.T @ v
     resid = np.linalg.norm(v - q @ a)
     if resid > 1e-6 * np.linalg.norm(v):
-        raise NonConvergence("v0 is not contained in the pushed fast sum")
+        raise NonConvergence("E_i is not contained in the pushed fast sum")
     norms = np.empty(n_past + 1)
     norms[0] = 0.0
     log_norm = np.log(np.linalg.norm(a))
@@ -817,7 +817,7 @@ def backward_decay_check(
     for k in range(1, n_past + 1):
         r = r_blocks[-k]
         cond = np.linalg.cond(r)
-        if not np.isfinite(cond) or cond > cond_limit:
+        if not np.isfinite(cond) or cond > 1e12:
             raise RestrictedSingular(
                 f"restricted step at -{k} has condition number {cond:.3e}")
         a = np.linalg.solve(r, a)
@@ -826,7 +826,7 @@ def backward_decay_check(
         a = a / na
         norms[k] = log_norm - base
     ks = np.arange(n_past + 1)
-    skip = max(1, int(fit_fraction * n_past))
+    skip = max(1, n_past // 5)
     return float(np.polyfit(ks[skip:], norms[skip:], 1)[0])
 
 
@@ -837,8 +837,6 @@ def uniqueness_diagnostic(
     report: SpectrumReport,
     i: int,
     n: int,
-    *,
-    tail: int | None = None,
 ) -> np.ndarray:
     """Decay series g(σ^k ω), k = 0..n, for a candidate equivariant family.
 
@@ -846,7 +844,9 @@ def uniqueness_diagnostic(
     restricted to the pushed-forward candidate.  For the report's own E_i the
     series stays at numerical zero; for a genuinely different equivariant
     candidate it decays geometrically at about the rate difference between
-    blocks i and i+1.
+    blocks i and i+1.  The filtration at coordinate k comes from the product
+    over the report's n_used steps after n, so the window needs n + n_used
+    future symbols.
     """
     if i < 1 or i > report.p:
         raise ValueError(f"block index {i} out of range 1..{report.p}")
@@ -857,7 +857,7 @@ def uniqueness_diagnostic(
         raise ValueError("the last block has no complementary filtration space")
     if candidate.d != report.multiplicities[i - 1]:
         raise NotComplementary("candidate dimension does not match the block")
-    tail = report.n_used if tail is None else int(tail)
+    tail = report.n_used
     if window.n_future < n + tail:
         raise WindowTooShort(f"need {n + tail} future symbols, window has {window.n_future}")
     n_past = report.n_past_used
@@ -967,25 +967,3 @@ def noncommuting_base_demo(
         exponent_gap_estimate=gap_est,
         top_spaces=tuple(spaces),
     )
-
-
-# ---------------------------------------------------------------------------
-# sweeps
-# ---------------------------------------------------------------------------
-
-def sweep_reports(
-    gen: Generator,
-    driving: DrivingSystem,
-    count: int,
-    n_past: int = 200,
-    n_future: int = 50,
-    **kwargs,
-) -> list[SpectrumReport]:
-    """Splitting reports over `count` independently sampled windows.
-
-    Window i uses the seed-derived stream i and windows run serially in
-    index order, so the output is deterministic for a fixed (seed, count,
-    parameters).
-    """
-    return [oseledets_splitting(gen, None, w, n_past, n_future, **kwargs)
-            for w in driving.sample_windows(count, n_past, n_future)]

@@ -218,16 +218,16 @@ def _fit_quadratic_form(coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
 def conditioned_basis(
     e: Subspace,
     norm: NormTag = "euclidean",
-    n_samples: int = 10_000,
     max_rounds: int = 8,
     seed: int = 0,
 ) -> list[np.ndarray]:
     """Basis e_1..e_d of `e` with ||a||_2 <= ||sum a_i e_i|| <= 4 sqrt(d) ||a||_2.
 
     The ambient norm is selected by `norm`.  Construction fits an ellipsoid to
-    the restricted norm on sampled coefficient spheres (John-ellipsoid style),
-    changes basis to round the norm, and rescales so the sampled lower bound
-    clears 1.  The sandwich is then re-verified on a fresh sample.
+    the restricted norm on sampled coefficient spheres of 10 000 points
+    (John-ellipsoid style), changes basis to round the norm, and rescales so
+    the sampled lower bound clears 1.  The sandwich is then re-verified on a
+    fresh sample of the same size.
 
     Raises
     ------
@@ -240,7 +240,7 @@ def conditioned_basis(
     basis = np.array(e.frame, copy=True)
     upper = 4.0 * np.sqrt(d)
     for _ in range(max_rounds):
-        coeffs = _unit_coefficients(d, n_samples, rng)
+        coeffs = _unit_coefficients(d, 10_000, rng)
         vals = ambient_norm(basis @ coeffs, norm)
         lo, hi = float(np.min(vals)), float(np.max(vals))
         if lo <= 0.0:
@@ -251,7 +251,7 @@ def conditioned_basis(
         scale = 1.05 / lo
         if hi * scale <= upper:
             candidate = basis * scale
-            check = ambient_norm(candidate @ _unit_coefficients(d, n_samples, rng), norm)
+            check = ambient_norm(candidate @ _unit_coefficients(d, 10_000, rng), norm)
             if np.min(check) >= 1.0 and np.max(check) <= upper:
                 return [candidate[:, i] for i in range(d)]
         h = _fit_quadratic_form(coeffs, vals)

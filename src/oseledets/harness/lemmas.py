@@ -32,10 +32,10 @@ def _perturb(rng, sub: gr.Subspace, eps: float) -> gr.Subspace:
     return gr.Subspace.from_spanning(sub.frame + eps * noise)
 
 
-def check_projection_idempotence(seed: int, trials: int = 50) -> tuple[bool, float]:
+def check_projection_idempotence(seed: int) -> tuple[bool, float]:
     rng = np.random.default_rng([seed, 1])
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(50):
         m = int(rng.integers(2, 9))
         d = int(rng.integers(1, m))
         v, w = _random_direct_pair(rng, m, d)
@@ -44,10 +44,10 @@ def check_projection_idempotence(seed: int, trials: int = 50) -> tuple[bool, flo
     return worst <= 1e-10, worst
 
 
-def check_decomposition(seed: int, trials: int = 50) -> tuple[bool, float]:
+def check_decomposition(seed: int) -> tuple[bool, float]:
     rng = np.random.default_rng([seed, 2])
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(50):
         m = int(rng.integers(2, 9))
         d = int(rng.integers(1, m))
         v, w = _random_direct_pair(rng, m, d)
@@ -60,10 +60,10 @@ def check_decomposition(seed: int, trials: int = 50) -> tuple[bool, float]:
     return worst <= 1e-10, worst
 
 
-def check_gap_metric(seed: int, trials: int = 200) -> tuple[bool, float]:
+def check_gap_metric(seed: int) -> tuple[bool, float]:
     rng = np.random.default_rng([seed, 3])
     worst_violation = 0.0
-    for _ in range(trials):
+    for _ in range(200):
         m = int(rng.integers(2, 7))
         d = int(rng.integers(1, m + 1))
         a, b, c = (_random_subspace(rng, m, d) for _ in range(3))
@@ -77,13 +77,13 @@ def check_gap_metric(seed: int, trials: int = 200) -> tuple[bool, float]:
     return worst_violation <= 1e-10, worst_violation
 
 
-def check_projection_continuity(seed: int, trials: int = 12) -> tuple[bool, float]:
+def check_projection_continuity(seed: int) -> tuple[bool, float]:
     """Perturbing one leg of a direct pair moves the projection by at most a
     bounded multiple of the gap; the ratio must stay bounded as the
     perturbation shrinks."""
     rng = np.random.default_rng([seed, 4])
     worst_ratio = 0.0
-    for _ in range(trials):
+    for _ in range(12):
         m = int(rng.integers(3, 8))
         d = int(rng.integers(1, m))
         v, w = _random_direct_pair(rng, m, d)
@@ -100,10 +100,10 @@ def check_projection_continuity(seed: int, trials: int = 12) -> tuple[bool, floa
     return worst_ratio <= 100.0, worst_ratio
 
 
-def check_restricted_norm_continuity(seed: int, trials: int = 12) -> tuple[bool, float]:
+def check_restricted_norm_continuity(seed: int) -> tuple[bool, float]:
     rng = np.random.default_rng([seed, 5])
     worst_ratio = 0.0
-    for _ in range(trials):
+    for _ in range(12):
         m = int(rng.integers(3, 8))
         d = int(rng.integers(1, m))
         v, w = _random_direct_pair(rng, m, d)
@@ -121,13 +121,12 @@ def check_restricted_norm_continuity(seed: int, trials: int = 12) -> tuple[bool,
     return worst_ratio <= 100.0, worst_ratio
 
 
-def check_basis_sandwich(seed: int, trials: int = 6,
-                         n_samples: int = 10_000) -> tuple[bool, float]:
+def check_basis_sandwich(seed: int) -> tuple[bool, float]:
     """Norm-adapted bases: ||a||_2 <= ||sum a_i e_i|| <= 4 sqrt(d) ||a||_2 on
     fresh sampled coefficients, for all three ambient norms."""
     rng = np.random.default_rng([seed, 6])
     worst_margin = np.inf
-    for _ in range(trials):
+    for _ in range(6):
         m = int(rng.integers(2, 7))
         d = int(rng.integers(1, min(m, 4) + 1))
         sub = _random_subspace(rng, m, d)
@@ -135,7 +134,7 @@ def check_basis_sandwich(seed: int, trials: int = 6,
             basis = gr.conditioned_basis(sub, norm=norm,
                                          seed=int(rng.integers(2 ** 32)))
             b = np.stack(basis, axis=1)
-            coeffs = rng.standard_normal((d, n_samples))
+            coeffs = rng.standard_normal((d, 10_000))
             coeffs /= np.linalg.norm(coeffs, axis=0)
             vals = gr.ambient_norm(b @ coeffs, norm)
             lower = float(np.min(vals))
@@ -146,11 +145,11 @@ def check_basis_sandwich(seed: int, trials: int = 6,
     return True, float(worst_margin)
 
 
-def check_cylinder_projection_bounds(seed: int, trials: int = 20) -> tuple[bool, float]:
+def check_cylinder_projection_bounds(seed: int) -> tuple[bool, float]:
     rng = np.random.default_rng([seed, 7])
     worst = -np.inf
     shifts = [sf.Sft.full(2, 0.5), sf.Sft.full(3, 0.4), sf.Sft.golden_mean(0.6)]
-    for _ in range(trials):
+    for _ in range(20):
         shift = shifts[int(rng.integers(len(shifts)))]
         depth = int(rng.integers(2, 7))
         n = int(rng.integers(1, depth))
@@ -179,13 +178,13 @@ def check_distortion_uniformity(seed: int) -> tuple[bool, float]:
     return ok, report.feasible_d
 
 
-def check_lipschitz_smoothing(seed: int, n_funcs: int = 100) -> tuple[bool, float]:
+def check_lipschitz_smoothing(seed: int) -> tuple[bool, float]:
     shift = sf.Sft.full(2, 0.5)
     rng = np.random.default_rng([seed, 9])
     h = sf.CylinderFunction(shift, 1, np.array([-0.4, 0.4]))
     weight = sf.antisymmetric_weight_pair(shift, h)
     samples = []
-    for _ in range(n_funcs):
+    for _ in range(100):
         depth = int(rng.integers(1, 7))
         samples.append(sf.CylinderFunction(
             shift, depth, rng.uniform(-1, 1, size=len(shift.legal_words(depth)))))

@@ -417,15 +417,16 @@ def transfer_matrix(sft: Sft, g: CylinderFunction) -> tuple[np.ndarray, list[Wor
     k = max(2, g.depth)
     g = g.with_depth(k)
     words = sft.legal_words(k - 1)
-    index = sft.word_index(k - 1)
+    # the preimage sum of `transfer_apply`: entry (w, u) is g(y) for each
+    # legal y = (s,) + w, where u is the (k-1)-prefix of y
+    ext = sft.extend_index(k)
+    pf = sft.prefix_index(k, k - 1)
+    rows = np.arange(len(words))
     mat = np.zeros((len(words), len(words)))
-    for w in words:  # output word
-        row = index[w]
-        for s in range(sft.n_symbols):
-            if not sft.transitions[s, w[0]]:
-                continue
-            u = ((s,) + w)[: k - 1]  # input word
-            mat[row, index[u]] += g.value((s,) + w)
+    for s in range(sft.n_symbols):
+        legal = ext[s] >= 0
+        y = ext[s][legal]
+        mat[rows[legal], pf[y]] += g.array[y]
     return mat, words
 
 
@@ -566,13 +567,12 @@ class NormSandwich:
                            "finite-rank upper bound")
 
 
-def _proper_nested_depths(sft: Sft, u: Point, k0: int, count: int,
-                          limit: int = 64) -> list[int]:
-    """Depths k >= k0 at which the cylinder about u properly shrinks: some
-    other legal symbol can follow u's (k-1)-prefix."""
+def _proper_nested_depths(sft: Sft, u: Point, k0: int, count: int) -> list[int]:
+    """Depths 64 >= k >= k0 at which the cylinder about u properly shrinks:
+    some other legal symbol can follow u's (k-1)-prefix."""
     out = []
     k = max(k0, 1)
-    while len(out) < count and k <= limit:
+    while len(out) < count and k <= 64:
         if k == 1:
             branching = sft.n_symbols > 1
         else:
@@ -593,17 +593,17 @@ def norm_and_ic_bounds(
     m_proj: int,
     *,
     n_samples: int = 200,
-    sample_depth: int | None = None,
-    family_size: int = 5,
     seed: int = 0,
 ) -> NormSandwich:
     """Operator-norm and covering-number bounds for the n-step operator.
 
-    The certified side is exact: the family theta^(k_i + n - 1) 1_{C_k_i} ∘ S^n
-    has unit theta-norm and pairwise image distances at least
-    (1/2) theta^n R_n, so the covering radius is at least a quarter of
-    theta^n R_n.  The upper bounds use the measured smoothing constant and a
-    sampled sup over the finite-rank remainder (a lower bound of that upper
+    The certified side is exact: the family theta^(k_i + n - 1) 1_{C_k_i} ∘ S^n,
+    at the first 5 depths k_i where the cylinder about a maximizer of
+    P^(n) 1 properly shrinks, has unit theta-norm and pairwise image
+    distances at least (1/2) theta^n R_n, so the covering radius is at least
+    a quarter of theta^n R_n.  The upper bounds use the measured smoothing
+    constant and a sampled sup, over `n_samples` random depth-(m_proj + 2)
+    functions, of the finite-rank remainder (a lower bound of that upper
     bound; see `sampled_caveat`).
     """
     if not sft.irreducible:
@@ -617,7 +617,7 @@ def norm_and_ic_bounds(
     # certified separated family about a maximizer of P^(n) 1
     best_word = sft.legal_words(image1.depth)[int(np.argmax(image1.array))]
     u = sft.representative(best_word)
-    depths = _proper_nested_depths(sft, u, image1.depth, family_size)
+    depths = _proper_nested_depths(sft, u, image1.depth, 5)
     family = []
     for k in depths:
         head = u.head(k)
@@ -633,7 +633,7 @@ def norm_and_ic_bounds(
 
     images = [transfer_apply_word(sft, weights, f, n) for f in family]
     rng = np.random.default_rng(seed)
-    sample_depth = (m_proj + 2) if sample_depth is None else sample_depth
+    sample_depth = m_proj + 2
     n_words = len(sft.legal_words(sample_depth))
     samples = [CylinderFunction.constant(sft, 1.0)] + list(family)
     known = [image1] + images  # the images of samples[:len(known)]
@@ -730,7 +730,6 @@ def antisymmetric_example(
     *,
     theta: float = 0.5,
     n: int = 100_000,
-    gap_tolerance: float = _cocycle.GAP_TOLERANCE,
 ) -> AntisymmetricExample:
     """The two-symbol family g(1x) = 1/2 + h(x), g(0x) = 1/2 - h(x).
 
@@ -773,7 +772,6 @@ def antisymmetric_example(
     # P 1 = 1 exactly, so the sup-image growth is 1 and the covering-number
     # rate is log(theta): blocks at or below it are not exceptional.
     exps = _cocycle.lyapunov_exponents(gen, driving, n=n,
-                                       gap_tolerance=gap_tolerance,
                                        kappa_estimate=float(np.log(theta)))
     lambda1 = exps[0][0]
     lambda2 = exps[1][0] if len(exps) > 1 else float("-inf")

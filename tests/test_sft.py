@@ -373,7 +373,7 @@ def test_sandwich_transfers_each_input_once(monkeypatch):
 
     monkeypatch.setattr(sf, "transfer_apply_word", counting)
     ws = [stochastic_weight(0.8)] * 8
-    norm_and_ic_bounds(FULL, ws, 3, 3, n_samples=7, family_size=5)
+    norm_and_ic_bounds(FULL, ws, 3, 3, n_samples=7)
     # P^(n) 1, the 5 family images, the 7 sampled images, 13 residual images
     assert len(seen) == 1 + 5 + 7 + 13
     assert len(set(seen)) == len(seen)
