@@ -98,10 +98,7 @@ def main(argv: list[str] | None = None) -> int:
             record = run_lemma_suite(args.seed, verbose=True)
             _write_or_print([record], args.out)
             return EXIT_OK if record["status"] == "ok" else EXIT_NUMERIC
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_CONFIG

@@ -330,22 +330,9 @@ class BVFunction:
 
     # -- algebra ------------------------------------------------------------
 
-    def _merged_breakpoints(self, other: "BVFunction") -> np.ndarray:
-        bp = np.union1d(self.breakpoints, other.breakpoints)
-        keep = [bp[0]]
-        for x in bp[1:]:
-            if x - keep[-1] > _MERGE_TOL:
-                keep.append(x)
-        keep[-1] = 1.0
-        return np.asarray(keep)
-
     def __add__(self, other: "BVFunction") -> "BVFunction":
-        bp = self._merged_breakpoints(other)
-        lv, rv = [], []
-        for lo, hi in zip(bp[:-1], bp[1:]):
-            lv.append(self._limits_at(lo, "+") + other._limits_at(lo, "+"))
-            rv.append(self._limits_at(hi, "-") + other._limits_at(hi, "-"))
-        return BVFunction(bp, np.array(lv), np.array(rv))
+        return _from_pieces([f.piece_at(j) for f in (self, other)
+                             for j in range(len(f.left_values))])
 
     def __mul__(self, c: float) -> "BVFunction":
         return BVFunction(self.breakpoints, self.left_values * c,
@@ -391,12 +378,13 @@ def transfer_apply(t: PiecewiseMap, f: BVFunction) -> BVFunction:
                 pieces.append((ylo, yhi, w * flo, w * fhi))
             else:
                 pieces.append((yhi, ylo, w * fhi, w * flo))
-    # assemble: sum contributions over the merged grid
-    bps = {0.0, 1.0}
-    for lo, hi, _, _ in pieces:
-        bps.add(lo)
-        bps.add(hi)
-    grid = sorted(bps)
+    return _from_pieces(pieces)
+
+
+def _from_pieces(pieces: Sequence[tuple[float, float, float, float]]) -> BVFunction:
+    """The sum of affine pieces (lo, hi, value at lo, value at hi), each zero
+    outside [lo, hi], on the grid of all piece ends merged within _MERGE_TOL."""
+    grid = sorted({0.0, 1.0, *(x for lo, hi, _, _ in pieces for x in (lo, hi))})
     merged = [grid[0]]
     for x in grid[1:]:
         if x - merged[-1] > _MERGE_TOL:
@@ -407,13 +395,12 @@ def transfer_apply(t: PiecewiseMap, f: BVFunction) -> BVFunction:
     rv = np.zeros(len(bp) - 1)
     mid = 0.5 * (bp[:-1] + bp[1:])
     for lo, hi, vlo, vhi in pieces:
-        sel = (mid > lo) & (mid < hi)
-        if not np.any(sel):
-            continue
-        idx = np.nonzero(sel)[0]
+        # the cells whose midpoints lie strictly inside (lo, hi)
+        cells = slice(np.searchsorted(mid, lo, side="right"),
+                      np.searchsorted(mid, hi, side="left"))
         span = hi - lo
-        lv[idx] += vlo + (vhi - vlo) * (bp[idx] - lo) / span
-        rv[idx] += vlo + (vhi - vlo) * (bp[idx + 1] - lo) / span
+        lv[cells] += vlo + (vhi - vlo) * ((bp[:-1][cells] - lo) / span)
+        rv[cells] += vlo + (vhi - vlo) * ((bp[1:][cells] - lo) / span)
     return BVFunction(bp, lv, rv)
 
 
@@ -526,21 +513,11 @@ def branch_partition(t: PiecewiseMap) -> list[tuple[float, float]]:
 
 def conditional_expectation(f: BVFunction, cells: Sequence[tuple[float, float]]) -> BVFunction:
     """Piecewise-constant cell averages of f."""
-    parts = []
+    pieces = []
     for lo, hi in cells:
-        mass = _integral_on(f, lo, hi)
-        avg = mass / (hi - lo)
-        parts.append((lo, hi, avg))
-    bp = sorted({0.0, 1.0} | {c[0] for c in parts} | {c[1] for c in parts})
-    bp = np.asarray(bp)
-    lv = np.zeros(len(bp) - 1)
-    rv = np.zeros(len(bp) - 1)
-    mid = 0.5 * (bp[:-1] + bp[1:])
-    for lo, hi, avg in parts:
-        sel = (mid > lo) & (mid < hi)
-        lv[sel] += avg
-        rv[sel] += avg
-    return BVFunction(bp, lv, rv)
+        avg = _integral_on(f, lo, hi) / (hi - lo)
+        pieces.append((lo, hi, avg, avg))
+    return _from_pieces(pieces)
 
 
 def _integral_on(f: BVFunction, lo: float, hi: float) -> float:

@@ -63,11 +63,6 @@ def test_compose_order():
     assert np.allclose(compose(gen, w, 2), a1 @ a0)
 
 
-def test_compose_window_too_short():
-    with pytest.raises(WindowTooShort):
-        compose(DIAG, const_window(0, 2), 5)
-
-
 def test_cocycle_law():
     rng = np.random.default_rng(0)
     gen = Generator.from_list([rng.normal(size=(3, 3)) for _ in range(2)])
@@ -395,9 +390,33 @@ def test_splitting_direct_sum_invariant():
     assert sv[-1] > 1e-6
 
 
-def test_splitting_window_too_short():
+# each entry point on a window one symbol short; `rep` is a splitting of DIAG
+# with n_past = 20 and n_used = 5
+SHORT_WINDOW_CALLS = {
+    "compose": lambda rep: compose(DIAG, const_window(0, 4), 5),
+    "lyapunov_exponents": lambda rep: lyapunov_exponents(DIAG, n=5, window=const_window(0, 4)),
+    "forward_filtration": lambda rep: forward_filtration(
+        DIAG, const_window(0, 4), 5, [(LOG2, 1), (-LOG2, 1)]),
+    "oseledets_splitting-past": lambda rep: oseledets_splitting(
+        DIAG, None, const_window(49, 5), n_past=50, n_future=5),
+    "oseledets_splitting-future": lambda rep: oseledets_splitting(
+        DIAG, None, const_window(50, 4), n_past=50, n_future=5),
+    "uniform_growth_check": lambda rep: uniform_growth_check(
+        DIAG, const_window(0, 4), Subspace(np.eye(2)[:, :1]), 5),
+    # needs n_past + 50 past symbols
+    "backward_decay_check": lambda rep: backward_decay_check(
+        DIAG, const_window(69, 5), rep, 1, 20),
+    # needs n + n_used future symbols
+    "uniqueness_diagnostic": lambda rep: uniqueness_diagnostic(
+        DIAG, const_window(20, 9), rep.splitting[0], rep, 1, 5),
+}
+
+
+@pytest.mark.parametrize("call", SHORT_WINDOW_CALLS.values(), ids=SHORT_WINDOW_CALLS.keys())
+def test_splitting_window_too_short(call):
+    rep = oseledets_splitting(DIAG, None, const_window(20, 10), n_past=20, n_future=5)
     with pytest.raises(WindowTooShort):
-        oseledets_splitting(DIAG, None, const_window(10, 10), n_past=50, n_future=5)
+        call(rep)
 
 
 def test_splitting_rejects_a_past_too_short_for_the_cauchy_check():

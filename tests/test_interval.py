@@ -55,6 +55,13 @@ def test_variation_additivity_random():
         f = BVFunction.random(rng)
         g = BVFunction.random(rng)
         assert (f + g).variation() <= f.variation() + g.variation() + 1e-12
+        bp = np.union1d(f.breakpoints, g.breakpoints)
+        assert np.array_equal((f + g).breakpoints, bp)
+        xs = rng.uniform(0.0, 1.0, size=50)
+        xs = xs[np.min(np.abs(xs[:, None] - bp), axis=1) >= 1e-9]
+        for x in xs:
+            assert abs((f + g).evaluate(x) - (f.evaluate(x) + g.evaluate(x))) <= 1e-14
+            assert abs((f - g).evaluate(x) - (f.evaluate(x) - g.evaluate(x))) <= 1e-14
 
 
 def test_integral_linear():
@@ -282,6 +289,16 @@ def test_conditional_expectation_averages():
     assert e.evaluate(0.25) == pytest.approx(0.25)
     assert e.evaluate(0.75) == pytest.approx(0.75)
     assert abs((f - e).integral()) <= 1e-12
+
+
+def test_conditional_expectation_closes_gaps_between_composed_branches():
+    # compose_maps leaves some adjacent branch ends 1.1e-16 apart; the cell
+    # averages must not put a zero piece into such a gap
+    cells = branch_partition(compose_word((tripling_map(),), [0, 0, 0]))
+    assert any(b[0] != a[1] for a, b in zip(cells, cells[1:]))
+    e = conditional_expectation(BVFunction.constant(1.0), cells)
+    assert len(e.left_values) == len(cells)
+    assert e.variation() <= 1e-12
 
 
 # -- random invariant densities -----------------------------------------------------
