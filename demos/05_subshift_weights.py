@@ -30,7 +30,7 @@ weight = antisymmetric_weight_pair(shift, h)
 weights = [weight] * 10
 
 print("=== the weight and its transfer matrix ===")
-print("weight on 2-cylinders:", {w: round(v, 3) for w, v in weight.values.items()})
+print("weight on 2-cylinders:", dict(zip(shift.legal_words(2), weight.array.round(3).tolist())))
 mat, basis = transfer_matrix(shift, weight)
 print(f"matrix on {basis}: {mat.tolist()}  eigenvalues "
       f"{sorted(np.linalg.eigvals(mat).round(12))}")
@@ -57,7 +57,7 @@ samples = []
 for _ in range(50):
     depth = int(rng.integers(1, 7))
     samples.append(CylinderFunction(
-        shift, depth, rng.uniform(-1, 1, size=len(shift.legal_words(depth)))))
+        shift, depth, rng.uniform(-1, 1, size=len(shift.codes(depth)))))
 smooth = lipschitz_ly_check(shift, weights, 3, samples)
 print(f"smoothing inequality over 50 samples: min slack {min(smooth.slacks):.4f} "
       f"(K = {smooth.k_constant})")

@@ -154,7 +154,7 @@ def check_cylinder_projection_bounds(seed: int) -> tuple[bool, float]:
         depth = int(rng.integers(2, 7))
         n = int(rng.integers(1, depth))
         f = sf.CylinderFunction(shift, depth,
-                                rng.uniform(-1, 1, size=len(shift.legal_words(depth))))
+                                rng.uniform(-1, 1, size=len(shift.codes(depth))))
         proj = sf.cylinder_projection(shift, f, n)
         resid = f - proj.with_depth(depth)
         lip = f.lip_theta()
@@ -167,7 +167,6 @@ def check_cylinder_projection_bounds(seed: int) -> tuple[bool, float]:
 def check_distortion_uniformity(seed: int) -> tuple[bool, float]:
     """The distortion constant stays bounded as the word length grows."""
     shift = sf.Sft.full(2, 0.5)
-    rng = np.random.default_rng([seed, 8])
     h_vals = np.array([-0.2, -0.05, 0.05, 0.2])
     h = sf.CylinderFunction(shift, 2, h_vals)
     weight = sf.antisymmetric_weight_pair(shift, h)
@@ -187,7 +186,7 @@ def check_lipschitz_smoothing(seed: int) -> tuple[bool, float]:
     for _ in range(100):
         depth = int(rng.integers(1, 7))
         samples.append(sf.CylinderFunction(
-            shift, depth, rng.uniform(-1, 1, size=len(shift.legal_words(depth)))))
+            shift, depth, rng.uniform(-1, 1, size=len(shift.codes(depth)))))
     report = sf.lipschitz_ly_check(shift, [weight] * 4, 3, samples)
     return min(report.slacks) >= 0.0, float(min(report.slacks))
 

@@ -161,7 +161,7 @@ def run_sft(cfg: RunConfig) -> dict:
         depth = int(rng.integers(1, 6))
         samples.append(sf.CylinderFunction(
             example.sft, depth,
-            rng.uniform(-1.0, 1.0, size=len(example.sft.legal_words(depth)))))
+            rng.uniform(-1.0, 1.0, size=len(example.sft.codes(depth)))))
     smoothing = sf.lipschitz_ly_check(example.sft, weights, n_ic, samples,
                                       k_constant=sandwich.k_constant,
                                       r_n=sandwich.r_n)

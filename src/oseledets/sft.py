@@ -9,10 +9,17 @@ sequence R_n, bounded-distortion and smoothing-inequality checks, operator
 norm and covering-number sandwiches with constructed certificate families,
 and the antisymmetric-weight family whose second exponent is computable in
 closed form.
+
+The legal words of each depth are stored once, as the sorted array of their
+base-A codes (`Sft.codes`); sorted codes are the lexicographic order of the
+words, and every array aligned to words follows it.  Index maps between depths
+are code arithmetic plus `searchsorted`.  Codes are int64, so a depth needs
+A^depth < 2^63.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -47,7 +54,7 @@ class Sft:
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        t = np.asarray(self.transitions, dtype=np.int8)
+        t = np.array(self.transitions, dtype=np.int8)  # a copy: frozen below
         if t.shape != (self.n_symbols, self.n_symbols):
             raise ValueError("transition matrix shape mismatch")
         if not np.all((t == 0) | (t == 1)):
@@ -80,32 +87,46 @@ class Sft:
             self._cache["irreducible"] = bool(reach.all())
         return self._cache["irreducible"]
 
+    def codes(self, depth: int) -> np.ndarray:
+        """Sorted base-A codes sum_i w_i A^(depth-1-i) of the legal words of
+        length `depth`; sorted codes list the words in lexicographic order."""
+        key = ("codes", depth)
+        if key not in self._cache:
+            if depth < 1:
+                raise ValueError("depth must be at least 1")
+            if self.n_symbols ** depth >= 2 ** 63:
+                raise ValueError(f"word codes need n_symbols^depth < 2^63; "
+                                 f"{self.n_symbols}^{depth} is not")
+            if depth == 1:
+                out = np.arange(self.n_symbols, dtype=np.int64)
+            else:
+                prev = self.codes(depth - 1)
+                # row-major order over (word, next symbol) keeps the codes sorted
+                w, s = np.nonzero(self.transitions[prev % self.n_symbols])
+                out = prev[w] * self.n_symbols + s
+            self._cache[key] = out
+        return self._cache[key]
+
+    def digits(self, depth: int) -> np.ndarray:
+        """Array (W_depth, depth): the symbols of every legal word, in code order."""
+        powers = self.n_symbols ** np.arange(depth - 1, -1, -1, dtype=np.int64)
+        return self.codes(depth)[:, None] // powers % self.n_symbols
+
     def legal_words(self, depth: int) -> list[Word]:
-        key = ("words", depth)
-        if key in self._cache:
-            return self._cache[key]
-        if depth < 1:
-            raise ValueError("depth must be at least 1")
-        if depth == 1:
-            out = [(s,) for s in range(self.n_symbols)]
-        else:
-            prev = self.legal_words(depth - 1)
-            out = [w + (s,) for w in prev for s in range(self.n_symbols)
-                   if self.transitions[w[-1], s]]
-        self._cache[key] = out
-        return out
+        return [tuple(w) for w in self.digits(depth).tolist()]
 
-    def word_index(self, depth: int) -> dict[Word, int]:
-        key = ("index", depth)
-        if key not in self._cache:
-            self._cache[key] = {w: i for i, w in enumerate(self.legal_words(depth))}
-        return self._cache[key]
+    def code(self, word: Sequence[int]) -> int:
+        """Base-A code of a legal word."""
+        return functools.reduce(lambda c, s: c * self.n_symbols + s, self.check_word(word), 0)
 
-    def word_array(self, depth: int) -> np.ndarray:
-        key = ("array", depth)
-        if key not in self._cache:
-            self._cache[key] = np.array(self.legal_words(depth), dtype=np.int64)
-        return self._cache[key]
+    def locate(self, depth: int, codes) -> np.ndarray:
+        """Index in `codes(depth)` of every given code; IllegalWord when one is
+        not the code of a legal depth-`depth` word."""
+        table = self.codes(depth)
+        pos = np.searchsorted(table, codes)
+        if not np.all(np.take(table, pos, mode="clip") == codes):
+            raise IllegalWord(f"not the code of a legal word of length {depth}")
+        return pos
 
     def prefix_index(self, depth: int, d: int) -> np.ndarray:
         """Index at depth d of the d-prefix of every depth-`depth` word."""
@@ -113,9 +134,8 @@ class Sft:
         if key not in self._cache:
             if not 1 <= d <= depth:
                 raise ValueError("need 1 <= d <= depth")
-            idx = self.word_index(d)
-            self._cache[key] = np.array(
-                [idx[w[:d]] for w in self.legal_words(depth)], dtype=np.int64)
+            self._cache[key] = self.locate(
+                d, self.codes(depth) // self.n_symbols ** (depth - d))
         return self._cache[key]
 
     def extend_index(self, depth: int) -> np.ndarray:
@@ -125,13 +145,12 @@ class Sft:
         if key not in self._cache:
             if depth < 2:
                 raise ValueError("need depth >= 2")
-            idx = self.word_index(depth)
-            prev = self.legal_words(depth - 1)
-            out = np.full((self.n_symbols, len(prev)), -1, dtype=np.int64)
-            for j, w in enumerate(prev):
-                for s in range(self.n_symbols):
-                    if self.transitions[s, w[0]]:
-                        out[s, j] = idx[(s,) + w]
+            prev = self.codes(depth - 1)
+            high = self.n_symbols ** (depth - 1)
+            legal = self.transitions[:, prev // (high // self.n_symbols)] == 1
+            out = np.full(legal.shape, -1, dtype=np.int64)
+            ext = np.arange(self.n_symbols, dtype=np.int64)[:, None] * high + prev
+            out[legal] = self.locate(depth, ext[legal])
             self._cache[key] = out
         return self._cache[key]
 
@@ -139,10 +158,17 @@ class Sft:
         """Index at `depth` of the representative point of every depth-n cylinder."""
         key = ("representative", n, depth)
         if key not in self._cache:
-            idx = self.word_index(depth)
-            self._cache[key] = np.array(
-                [idx[self.representative(w).head(depth)] for w in self.legal_words(n)],
-                dtype=np.int64)
+            words = self.digits(n)
+            # the greedy continuation depends only on the last symbol
+            smallest_successor = np.argmax(self.transitions == 1, axis=1)
+            tail = [words[:, -1]]
+            for _ in range(depth - n):
+                tail.append(smallest_successor[tail[-1]])
+            greedy = np.column_stack([words] + tail[1:])[:, :depth]
+            periodic = self.transitions[words[:, -1], words[:, 0]] == 1
+            heads = np.where(periodic[:, None], words[:, np.arange(depth) % n], greedy)
+            powers = self.n_symbols ** np.arange(depth - 1, -1, -1, dtype=np.int64)
+            self._cache[key] = self.locate(depth, heads @ powers)
         return self._cache[key]
 
     def check_word(self, word: Sequence[int]) -> Word:
@@ -164,17 +190,10 @@ class Sft:
         if self.transitions[word[-1], word[0]]:
             return Point(self, (), word)
         tail = [word[-1]]
-        seen = {word[-1]: 0}
-        while True:
-            succ = np.nonzero(self.transitions[tail[-1]])[0]
-            nxt = int(succ[0])
-            if nxt in seen:
-                k = seen[nxt]
-                pre = word + tuple(tail[1:k + 1])
-                cyc = tuple(tail[k + 1:]) + (nxt,)
-                return Point(self, pre, cyc)
+        while (nxt := int(np.argmax(self.transitions[tail[-1]]))) not in tail:
             tail.append(nxt)
-            seen[nxt] = len(tail) - 1
+        k = tail.index(nxt)
+        return Point(self, word + tuple(tail[1:k + 1]), tuple(tail[k + 1:]) + (nxt,))
 
 
 @dataclass(frozen=True)
@@ -221,8 +240,9 @@ def d_theta(x: Point, y: Point) -> float:
 class CylinderFunction:
     """A function constant on depth-n cylinders.
 
-    Values are stored as an array aligned with ``sft.legal_words(depth)``;
-    the `values` property exposes the word -> value mapping.
+    Values are stored as an array aligned with ``sft.codes(depth)``, the
+    sorted base-A codes of the legal words, which is their lexicographic
+    order.  A mapping from word tuples is accepted on construction.
     """
 
     sft: Sft
@@ -231,15 +251,17 @@ class CylinderFunction:
     _lip: float | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        words = self.sft.legal_words(self.depth)
+        n_words = len(self.sft.codes(self.depth))
         arr = self.array
         if isinstance(arr, Mapping):
-            if set(arr) != set(words):
+            if len(arr) != n_words:
                 raise IllegalWord("values must be given on exactly the legal words")
-            arr = np.array([arr[w] for w in words], dtype=float)
+            values = np.empty(n_words)
+            values[[self._index(w) for w in arr]] = list(arr.values())
+            arr = values
         else:
             arr = np.asarray(arr, dtype=float).copy()
-            if arr.shape != (len(words),):
+            if arr.shape != (n_words,):
                 raise IllegalWord("value array does not match the legal words")
         arr.setflags(write=False)
         object.__setattr__(self, "array", arr)
@@ -248,14 +270,13 @@ class CylinderFunction:
 
     @classmethod
     def constant(cls, sft: Sft, c: float, depth: int = 1) -> "CylinderFunction":
-        return cls(sft, depth, np.full(len(sft.legal_words(depth)), float(c)))
+        return cls(sft, depth, np.full(len(sft.codes(depth)), float(c)))
 
     @classmethod
     def indicator(cls, sft: Sft, word: Sequence[int]) -> "CylinderFunction":
-        word = sft.check_word(word)
-        n = len(word)
-        arr = np.zeros(len(sft.legal_words(n)))
-        arr[sft.word_index(n)[word]] = 1.0
+        code, n = sft.code(word), len(word)
+        arr = np.zeros(len(sft.codes(n)))
+        arr[sft.locate(n, code)] = 1.0
         return cls(sft, n, arr)
 
     @classmethod
@@ -266,14 +287,13 @@ class CylinderFunction:
 
     # -- access ---------------------------------------------------------------
 
-    @property
-    def values(self) -> dict[Word, float]:
-        return {w: float(v) for w, v in zip(self.sft.legal_words(self.depth),
-                                            self.array)}
+    def _index(self, word: Sequence[int]) -> int:
+        if len(word) != self.depth:
+            raise IllegalWord(f"word {tuple(word)} is not of length {self.depth}")
+        return int(self.sft.locate(self.depth, self.sft.code(word)))
 
     def value(self, word: Sequence[int]) -> float:
-        word = tuple(word)
-        return float(self.array[self.sft.word_index(self.depth)[word]])
+        return float(self.array[self._index(word)])
 
     def evaluate(self, x: Point) -> float:
         return self.value(x.head(self.depth))
@@ -295,45 +315,15 @@ class CylinderFunction:
     def lip_theta(self) -> float:
         """Exact theta-Lipschitz seminorm.
 
-        Pairs realizing the sup share a prefix p and differ right after it;
-        a bottom-up pass over the prefix tree carries subtree minima and
-        maxima, so the cost is linear in the number of cylinders.
+        Pairs realizing the sup share a prefix p and differ right after it,
+        so the sibling-subtree pass of `_prefix_tree_sup` finds it in time
+        linear in the number of cylinders.
         """
-        if self._lip is not None:
-            return self._lip
-        theta = self.sft.theta
-        lo = self.array.copy()
-        hi = self.array.copy()
-        best = 0.0
-        n_sym = self.sft.n_symbols
-        for d in range(self.depth, 0, -1):
-            if d == 1:
-                parents = np.zeros(len(lo), dtype=np.int64)
-                n_parents = 1
-                child = self.sft.word_array(1)[:, 0]
-            else:
-                parents = self.sft.prefix_index(d, d - 1)
-                n_parents = len(self.sft.legal_words(d - 1))
-                child = self.sft.word_array(d)[:, -1]
-            lo_s = np.full((n_sym, n_parents), np.inf)
-            hi_s = np.full((n_sym, n_parents), -np.inf)
-            for s in range(n_sym):
-                sel = child == s
-                lo_s[s, parents[sel]] = lo[sel]
-                hi_s[s, parents[sel]] = hi[sel]
-            scale = theta ** (d - 1)
-            for a in range(n_sym):
-                for b in range(n_sym):
-                    if a == b:
-                        continue
-                    diff = hi_s[a] - lo_s[b]
-                    finite = np.isfinite(diff)
-                    if np.any(finite):
-                        best = max(best, float(np.max(diff[finite])) / scale)
-            lo = np.min(lo_s, axis=0)
-            hi = np.max(hi_s, axis=0)
-        object.__setattr__(self, "_lip", best)
-        return best
+        if self._lip is None:
+            object.__setattr__(self, "_lip", _prefix_tree_sup(
+                self.sft, self.array, self.depth, 0, 0,
+                lambda lo_a, hi_a, lo_b, hi_b: hi_a - lo_b))
+        return self._lip
 
     def theta_norm(self) -> float:
         return max(self.lip_theta(), self.sup_norm())
@@ -355,6 +345,39 @@ class CylinderFunction:
         return CylinderFunction(self.sft, self.depth, self.array * float(c))
 
     __rmul__ = __mul__
+
+
+def _prefix_tree_sup(sft: Sft, values: np.ndarray, depth: int, first: int,
+                     offset: int, term: Callable[..., np.ndarray]) -> float:
+    """Max over pairs of depth-`depth` words x, y that first differ at an index
+    i >= `first` of term(...) / theta^(i - offset), and 0 if there is none.
+
+    A pair first differing at index i lies in two sibling subtrees of the
+    prefix tree at level i + 1.  `term(lo_a, hi_a, lo_b, hi_b)` gets the value
+    extremes of the subtrees a and b of every ordered sibling pair and returns
+    the largest pair term between them; a bottom-up pass carries the extremes,
+    so the cost is linear in the number of words.
+    """
+    n_sym = sft.n_symbols
+    off_diagonal = ~np.eye(n_sym, dtype=bool)[:, :, None]
+    lo = hi = values
+    best = 0.0
+    for d in range(depth, first, -1):
+        parents = sft.prefix_index(d, d - 1) if d > 1 else np.zeros(n_sym, dtype=np.int64)
+        child = sft.codes(d) % n_sym
+        lo_s = np.full((n_sym, parents[-1] + 1), np.inf)
+        hi_s = np.full((n_sym, parents[-1] + 1), -np.inf)
+        lo_s[child, parents] = lo
+        hi_s[child, parents] = hi
+        present = np.isfinite(lo_s)
+        a, b, p = np.nonzero(present[:, None] & present[None] & off_diagonal)
+        if len(p):
+            best = max(best, float(np.max(term(lo_s[a, p], hi_s[a, p],
+                                                lo_s[b, p], hi_s[b, p])))
+                       / sft.theta ** (d - 1 - offset))
+        lo = np.min(lo_s, axis=0)
+        hi = np.max(hi_s, axis=0)
+    return best
 
 
 class Weight(CylinderFunction):
@@ -379,7 +402,7 @@ def transfer_apply(sft: Sft, g: CylinderFunction, f: CylinderFunction) -> Cylind
     ext = sft.extend_index(full)
     pf = sft.prefix_index(full, f.depth)
     pg = sft.prefix_index(full, g.depth)
-    out = np.zeros(len(sft.legal_words(out_depth)))
+    out = np.zeros(len(sft.codes(out_depth)))
     for s in range(sft.n_symbols):
         idx = ext[s]
         legal = idx >= 0
@@ -391,6 +414,8 @@ def transfer_apply(sft: Sft, g: CylinderFunction, f: CylinderFunction) -> Cylind
 def transfer_apply_word(sft: Sft, weights: Sequence[CylinderFunction],
                         f: CylinderFunction, n: int) -> CylinderFunction:
     """n-step iterated transfer image; weights[j] acts at step j."""
+    if len(weights) < n:
+        raise ValueError(f"{n} steps need {n} weights, got {len(weights)}")
     out = f
     for j in range(n):
         out = transfer_apply(sft, weights[j], out)
@@ -463,6 +488,8 @@ def distortion_check(sft: Sft, weights: Sequence[CylinderFunction], k_max: int,
     exp(C/(gamma (1-theta))) - 1 from the weight bounds (C = sup theta-norm,
     gamma = min value).
     """
+    if len(weights) < k_max:
+        raise ValueError(f"k_max = {k_max} needs {k_max} weights, got {len(weights)}")
     theta = sft.theta
     max_wdepth = max(w.depth for w in weights[:k_max])
     if depth + 1 < max_wdepth:
@@ -472,38 +499,25 @@ def distortion_check(sft: Sft, weights: Sequence[CylinderFunction], k_max: int,
     r = c_bound / (gamma * (1.0 - theta))
     proof_bound = float(np.expm1(r))
 
-    words = sft.legal_words(depth)
-    arr = sft.word_array(depth)
+    n_sym = sft.n_symbols
     per_k = []
     for k in range(1, k_max + 1):
         need = k + depth
+        codes = sft.codes(need)
         # cumulative weight product as a depth-(need) cylinder function;
-        # exact since every factor sees at most depth + 1 symbols
-        acc = np.ones(len(sft.legal_words(need)))
-        for j in range(k):
-            wj = weights[j]
-            idx = sft.word_index(wj.depth)
-            shifted = np.array([idx[w[j: j + wj.depth]]
-                                for w in sft.legal_words(need)], dtype=np.int64)
-            acc *= wj.array[shifted]
-        idx_need = sft.word_index(need)
-        best = 0.0
-        for v in sft.legal_words(k):
-            xs = [i for i, w in enumerate(words) if sft.transitions[v[-1], w[0]]]
-            if len(xs) < 2:
-                continue
-            vals = np.array([acc[idx_need[v + words[i]]] for i in xs])
-            sub = arr[xs]
-            for a in range(len(xs)):
-                same_first = sub[:, 0] == sub[a, 0]
-                distinct = (sub != sub[a]).any(axis=1)
-                diff_pos = (sub != sub[a]).argmax(axis=1)
-                sel = same_first & distinct
-                if not np.any(sel):
-                    continue
-                ratios = np.abs(1.0 - vals[sel] / vals[a]) / theta ** diff_pos[sel]
-                best = max(best, float(np.max(ratios)))
-        per_k.append(best)
+        # exact since every factor sees at most depth + 1 symbols: factor j
+        # reads the window of length wj.depth starting at index j
+        acc = np.ones(len(codes))
+        for j, wj in enumerate(weights[:k]):
+            window = codes // n_sym ** (need - j - wj.depth) % n_sym ** wj.depth
+            acc *= wj.array[sft.locate(wj.depth, window)]
+        # words vx, vy with |v| = k and x_0 = y_0 first differ at an index
+        # i >= k + 1, where d(x, y) = theta^(i - k); the weights are positive,
+        # so the subtree extremes give the largest |1 - g(vy)/g(vx)|
+        per_k.append(_prefix_tree_sup(
+            sft, acc, need, k + 1, k,
+            lambda lo_a, hi_a, lo_b, hi_b: np.maximum(np.abs(1.0 - hi_b / lo_a),
+                                                      np.abs(1.0 - lo_b / hi_a))))
     return DistortionReport(per_k=tuple(per_k), feasible_d=float(max(per_k)),
                             proof_bound=proof_bound)
 
@@ -615,16 +629,13 @@ def norm_and_ic_bounds(
     op_upper = (k_constant + 1.0) * r_n
 
     # certified separated family about a maximizer of P^(n) 1
-    best_word = sft.legal_words(image1.depth)[int(np.argmax(image1.array))]
-    u = sft.representative(best_word)
+    u = sft.representative(sft.digits(image1.depth)[int(np.argmax(image1.array))])
     depths = _proper_nested_depths(sft, u, image1.depth, 5)
     family = []
     for k in depths:
-        head = u.head(k)
-        total = k + n
-        warr = sft.word_array(total)
-        match = np.all(warr[:, n:] == np.array(head), axis=1)
-        family.append(CylinderFunction(sft, total,
+        # 1_{C_k} o S^n: the words whose last k symbols are u's k-prefix
+        match = sft.codes(k + n) % sft.n_symbols ** k == sft.code(u.head(k))
+        family.append(CylinderFunction(sft, k + n,
                                        np.where(match, theta ** (k + n - 1), 0.0)))
     for f in family:
         tn = f.theta_norm()
@@ -634,7 +645,7 @@ def norm_and_ic_bounds(
     images = [transfer_apply_word(sft, weights, f, n) for f in family]
     rng = np.random.default_rng(seed)
     sample_depth = m_proj + 2
-    n_words = len(sft.legal_words(sample_depth))
+    n_words = len(sft.codes(sample_depth))
     samples = [CylinderFunction.constant(sft, 1.0)] + list(family)
     known = [image1] + images  # the images of samples[:len(known)]
     for _ in range(n_samples):
@@ -656,10 +667,7 @@ def norm_and_ic_bounds(
         ic_upper = max(ic_upper,
                        transfer_apply_word(sft, weights, resid, n).theta_norm())
 
-    dmin = np.inf
-    for ia in range(len(images)):
-        for ib in range(ia + 1, len(images)):
-            dmin = min(dmin, (images[ia] - images[ib]).theta_norm())
+    dmin = min((a - b).theta_norm() for a, b in itertools.combinations(images, 2))
     return NormSandwich(
         r_n=float(r_n),
         op_norm_est=float(op_est),
@@ -676,41 +684,31 @@ def norm_and_ic_bounds(
 # the antisymmetric-weight family
 # ---------------------------------------------------------------------------
 
-def _complement_word(w: Word) -> Word:
-    return tuple(1 - s for s in w)
-
-
 def is_antisymmetric(f: CylinderFunction, tol: float = 0.0) -> bool:
+    """f(complement of w) = -f(w) within tol; the complement swaps 0 and 1
+    and must be legal."""
     if f.sft.n_symbols != 2:
         raise IllegalWord("antisymmetry is defined for two-symbol shifts")
-    return all(abs(f.value(_complement_word(w)) + v) <= tol
-               for w, v in f.values.items())
+    complement = f.sft.locate(f.depth, 2 ** f.depth - 1 - f.sft.codes(f.depth))
+    return bool(np.all(np.abs(f.array[complement] + f.array) <= tol))
 
 
 def is_monotone(f: CylinderFunction, tol: float = 0.0) -> bool:
-    words = f.sft.legal_words(f.depth)
-    for w, u in itertools.combinations(words, 2):
-        if all(a <= b for a, b in zip(w, u)):
-            if f.value(w) > f.value(u) + tol:
-                return False
-        elif all(a >= b for a, b in zip(w, u)):
-            if f.value(u) > f.value(w) + tol:
-                return False
-    return True
+    """f(w) <= f(u) + tol whenever w <= u symbol by symbol."""
+    digits = f.sft.digits(f.depth)
+    below = np.all(digits[:, None] <= digits[None], axis=2)
+    return not np.any(below & (f.array[:, None] > f.array[None] + tol))
 
 
 def antisymmetric_weight_pair(sft: Sft, h: CylinderFunction) -> Weight:
     """Weight with g(1x) = 1/2 + h(x) and g(0x) = 1 - g(1x) (exactly)."""
+    if sft.n_symbols != 2:
+        raise IllegalWord("antisymmetry is defined for two-symbol shifts")
     depth = h.depth + 1
-    idx = sft.word_index(depth)
-    arr = np.zeros(len(sft.legal_words(depth)))
-    for w in sft.legal_words(depth):
-        if w[0] == 1:
-            arr[idx[w]] = 0.5 + h.value(w[1:][: h.depth])
-    for w in sft.legal_words(depth):
-        if w[0] == 0:
-            arr[idx[w]] = 1.0 - arr[idx[(1,) + w[1:]]]
-    return Weight(sft, depth, arr)
+    first, x = np.divmod(sft.codes(depth), 2 ** h.depth)
+    sft.locate(depth, 2 ** h.depth + x)  # g(0x) needs the word 1x
+    one_x = 0.5 + h.array[sft.locate(h.depth, x)]
+    return Weight(sft, depth, np.where(first == 1, one_x, 1.0 - one_x))
 
 
 @dataclass(frozen=True)
@@ -751,7 +749,7 @@ def antisymmetric_example(
             profiles.append(item)
         else:
             a = float(item)
-            profiles.append(CylinderFunction(sft, 1, {(0,): -a / 2, (1,): a / 2}))
+            profiles.append(CylinderFunction(sft, 1, np.array([-a / 2, a / 2])))
         amplitudes.append(2.0 * profiles[-1].sup_norm())
     if len(profiles) != driving.alphabet_size:
         raise ValueError("one profile per driving symbol is required")
@@ -776,7 +774,7 @@ def antisymmetric_example(
     lambda1 = exps[0][0]
     lambda2 = exps[1][0] if len(exps) > 1 else float("-inf")
     # exact identity for f = 1_[1] - 1_[0] at the all-ones point
-    f = CylinderFunction(sft, 1, {(0,): -1.0, (1,): 1.0})
+    f = CylinderFunction(sft, 1, np.array([-1.0, 1.0]))
     ones = Point(sft, (), (1,))
     g0 = weights[0]
     lhs = transfer_apply(sft, g0, f).evaluate(ones)

@@ -81,6 +81,186 @@ def test_illegal_word_rejected():
         CylinderFunction.indicator(gm, (1, 1, 0))
 
 
+def test_sft_copies_transitions():
+    t = np.array([[1, 1], [1, 0]], dtype=np.int8)
+    gm = Sft(2, t, 0.5)
+    assert t.flags.writeable and not gm.transitions.flags.writeable
+    t[1, 1] = 1
+    assert gm.transitions[1, 1] == 0
+
+
+def test_value_rejects_words_not_legal_at_its_depth():
+    gm = Sft.golden_mean(0.5)
+    f = CylinderFunction(gm, 2, np.arange(3.0))
+    assert [f.value(w) for w in gm.legal_words(2)] == [0.0, 1.0, 2.0]
+    for word in ((1, 1), (0,), (5, 0), (0, 0, 0), ()):
+        with pytest.raises(IllegalWord):
+            f.value(word)
+    with pytest.raises(IllegalWord):
+        CylinderFunction(gm, 2, {(0, 0): 1.0, (0, 1): 1.0, (1, 1): 1.0})
+
+
+def test_fewer_weights_than_steps_rejected():
+    ws = [stochastic_weight(0.8)] * 2
+    with pytest.raises(ValueError, match="3 weights"):
+        transfer_apply_word(FULL, ws, CylinderFunction.constant(FULL, 1.0), 3)
+    with pytest.raises(ValueError, match="3 weights"):
+        distortion_check(FULL, ws, 3, 2)
+
+
+# -- word codes against the tuple and dict reference ---------------------------------
+# The reference functions below are the tuple-and-dict cylinder calculus the
+# code arrays replaced; the tests require exact equality with them.
+
+CODE_SHIFTS = {
+    "full2": Sft.full(2, 0.5),
+    "full3": Sft.full(3, 0.4),
+    "golden": Sft.golden_mean(0.6),
+    "sparse3": Sft(3, np.array([[0, 1, 1], [1, 0, 0], [0, 1, 0]]), 0.5),
+}
+
+
+def ref_words(sft, depth):
+    if depth == 1:
+        return [(s,) for s in range(sft.n_symbols)]
+    return [w + (s,) for w in ref_words(sft, depth - 1)
+            for s in range(sft.n_symbols) if sft.transitions[w[-1], s]]
+
+
+def ref_index(sft, depth):
+    return {w: i for i, w in enumerate(ref_words(sft, depth))}
+
+
+def ref_prefix_index(sft, depth, d):
+    idx = ref_index(sft, d)
+    return np.array([idx[w[:d]] for w in ref_words(sft, depth)], dtype=np.int64)
+
+
+def ref_extend_index(sft, depth):
+    idx = ref_index(sft, depth)
+    prev = ref_words(sft, depth - 1)
+    out = np.full((sft.n_symbols, len(prev)), -1, dtype=np.int64)
+    for j, w in enumerate(prev):
+        for s in range(sft.n_symbols):
+            if sft.transitions[s, w[0]]:
+                out[s, j] = idx[(s,) + w]
+    return out
+
+
+def ref_representative_index(sft, n, depth):
+    idx = ref_index(sft, depth)
+    return np.array([idx[sft.representative(w).head(depth)] for w in ref_words(sft, n)],
+                    dtype=np.int64)
+
+
+def ref_distortion_per_k(sft, weights, k_max, depth):
+    theta = sft.theta
+    words = ref_words(sft, depth)
+    arr = np.array(words, dtype=np.int64)
+    per_k = []
+    for k in range(1, k_max + 1):
+        need = k + depth
+        acc = np.ones(len(ref_words(sft, need)))
+        for j in range(k):
+            wj = weights[j]
+            idx = ref_index(sft, wj.depth)
+            acc *= wj.array[[idx[w[j: j + wj.depth]] for w in ref_words(sft, need)]]
+        idx_need = ref_index(sft, need)
+        best = 0.0
+        for v in ref_words(sft, k):
+            xs = [i for i, w in enumerate(words) if sft.transitions[v[-1], w[0]]]
+            if len(xs) < 2:
+                continue
+            vals = np.array([acc[idx_need[v + words[i]]] for i in xs])
+            sub = arr[xs]
+            for a in range(len(xs)):
+                sel = (sub[:, 0] == sub[a, 0]) & (sub != sub[a]).any(axis=1)
+                if np.any(sel):
+                    diff_pos = (sub != sub[a]).argmax(axis=1)
+                    ratios = np.abs(1.0 - vals[sel] / vals[a]) / theta ** diff_pos[sel]
+                    best = max(best, float(np.max(ratios)))
+        per_k.append(best)
+    return tuple(per_k)
+
+
+@pytest.mark.parametrize("name", CODE_SHIFTS)
+def test_codes_match_tuple_reference(name):
+    sft = CODE_SHIFTS[name]
+    for depth in range(1, 8):
+        words = ref_words(sft, depth)
+        assert sft.legal_words(depth) == words
+        assert sft.digits(depth).tolist() == [list(w) for w in words]
+        assert np.all(np.diff(sft.codes(depth)) > 0)
+        assert [sft.code(w) for w in words] == sft.codes(depth).tolist()
+        for d in range(1, depth + 1):
+            assert np.array_equal(sft.prefix_index(depth, d), ref_prefix_index(sft, depth, d))
+        if depth >= 2:
+            assert np.array_equal(sft.extend_index(depth), ref_extend_index(sft, depth))
+        for n in range(1, 6):
+            assert np.array_equal(sft.representative_index(n, depth),
+                                  ref_representative_index(sft, n, depth))
+
+
+@pytest.mark.parametrize("name", CODE_SHIFTS)
+def test_distortion_matches_pairwise_reference(name):
+    sft = CODE_SHIFTS[name]
+    rng = np.random.default_rng(sorted(CODE_SHIFTS).index(name))
+    for _ in range(8):
+        wdepth = int(rng.integers(1, 4))
+        k_max = int(rng.integers(1, 4))
+        weights = [Weight(sft, wdepth, rng.uniform(0.1, 1.0, size=len(sft.codes(wdepth))))
+                   for _ in range(k_max)]
+        depth = max(wdepth - 1, int(rng.integers(1, 4)))
+        rep = distortion_check(sft, weights, k_max, depth)
+        assert rep.per_k == ref_distortion_per_k(sft, weights, k_max, depth)
+
+
+def test_lip_theta_matches_pairwise_reference():
+    # sup over pairs of distinct words of |f(x) - f(y)| / theta^(first disagreement)
+    rng = np.random.default_rng(11)
+    for sft in CODE_SHIFTS.values():
+        for depth in range(1, 6):
+            f = CylinderFunction(sft, depth, rng.uniform(-1, 1, size=len(sft.codes(depth))))
+            words = ref_words(sft, depth)
+            oracle = max((abs(f.value(x) - f.value(y))
+                          / sft.theta ** next(i for i in range(depth) if x[i] != y[i])
+                          for x, y in itertools.combinations(words, 2)), default=0.0)
+            assert f.lip_theta() == oracle
+
+
+def test_antisymmetric_helpers_match_word_loops():
+    rng = np.random.default_rng(12)
+    for depth in (1, 2, 3, 4):
+        words = ref_words(FULL, depth)
+        half = np.sort(rng.uniform(0.0, 0.2, size=len(words) // 2))
+        h = CylinderFunction(FULL, depth, np.concatenate([-half[::-1], half]))
+        g = antisymmetric_weight_pair(FULL, h)
+        for w in ref_words(FULL, depth + 1):
+            one = 0.5 + h.value(w[1:])
+            assert g.value(w) == (one if w[0] == 1 else 1.0 - one)
+        for f in (h, CylinderFunction(FULL, depth, rng.uniform(-1, 1, size=len(words)))):
+            monotone = all(f.value(w) <= f.value(u) for w, u in itertools.permutations(words, 2)
+                           if all(a <= b for a, b in zip(w, u)))
+            assert is_monotone(f) == monotone
+            assert is_antisymmetric(f) == all(
+                f.value(tuple(1 - s for s in w)) == -f.value(w) for w in words)
+    with pytest.raises(IllegalWord):
+        is_antisymmetric(CylinderFunction.constant(Sft.golden_mean(0.5), 1.0, 2))
+
+
+def test_code_depth_limit():
+    # permutation shifts have A words at every depth, so the limit is reachable
+    swap = Sft(2, np.array([[0, 1], [1, 0]]), 0.5)
+    assert swap.codes(62).tolist() == [int("01" * 31, 2), int("10" * 31, 2)]
+    cycle = Sft(3, np.roll(np.eye(3, dtype=np.int8), 1, axis=1), 0.5)
+    assert len(cycle.codes(39)) == 3
+    for sft, depth in ((swap, 63), (cycle, 40), (FULL, 100)):
+        with pytest.raises(ValueError, match="2\\^63"):
+            sft.codes(depth)
+        with pytest.raises(ValueError, match="2\\^63"):
+            CylinderFunction.constant(sft, 1.0, depth)
+
+
 # -- transfer operator ---------------------------------------------------------
 
 def test_transfer_half_weight_fixes_one():
