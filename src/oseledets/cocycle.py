@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     BlockDegeneracy,
+    DegenerateSum,
     DimensionMismatch,
     EqualExponents,
     NonConvergence,
@@ -31,7 +32,7 @@ from .errors import (
     RestrictedSingular,
     WindowTooShort,
 )
-from .grassmann import Subspace, gap, project_along
+from .grassmann import DIRECT_SUM_MIN_SV, IDEMPOTENCE_TOL, Subspace, gap
 
 GAP_TOLERANCE = 1e-3
 CONVERGENCE_TOLERANCE = 1e-6
@@ -218,16 +219,16 @@ class SpectrumReport:
     """Estimated exceptional spectrum with filtration and splitting frames.
 
     exponents/multiplicities describe the resolved blocks in decreasing order.
-    `filtration` holds the proper filtration spaces V_2, V_3, ... (V_1 is the
-    whole space); `splitting` holds E_1, ..., E_p.  The residuals are, per
-    block, the equivariance gaps, the self-applied uniqueness values and the
-    convergence (Cauchy) gaps, plus the smallest singular value of the
-    concatenated splitting frames.
+    `splitting` holds E_1, ..., E_p; the first c_i columns of the m×c_p frame
+    `filtration_complement` span the orthogonal complement of V_{i+1}.  The
+    residuals are, per block, the equivariance gaps, the self-applied
+    uniqueness values and the convergence (Cauchy) gaps, plus the smallest
+    singular value of [E_1, ..., E_p, V_{p+1}].
     """
 
     exponents: tuple[float, ...]
     multiplicities: tuple[int, ...]
-    filtration: tuple[Subspace, ...]
+    filtration_complement: np.ndarray = field(repr=False)
     splitting: tuple[Subspace, ...]
     equivariance: tuple[float, ...]
     uniqueness_g0: tuple[float, ...]
@@ -249,6 +250,8 @@ class SpectrumReport:
             for e, d in zip(self.splitting, self.multiplicities):
                 if e.d != d:
                     raise DimensionMismatch("splitting frame dimension mismatch")
+            if self.filtration_complement.shape != (m, sum(self.multiplicities)):
+                raise DimensionMismatch("filtration complement frame is not m×c_p")
 
     @property
     def p(self) -> int:
@@ -257,6 +260,15 @@ class SpectrumReport:
     @property
     def block_ends(self) -> tuple[int, ...]:
         return tuple(accumulate(self.multiplicities))
+
+    @property
+    def filtration(self) -> tuple[Subspace, ...]:
+        """V_2, ..., V_{p+1} (V_{p+1} when nontrivial), built on read: V_{i+1}
+        is spanned by W_{c_i:} and the tail of one complete QR of W."""
+        w = self.filtration_complement
+        m, c_p = w.shape
+        slow = np.linalg.qr(w, mode="complete")[0][:, c_p:]
+        return tuple(Subspace(np.hstack([w[:, c:], slow])) for c in self.block_ends if c < m)
 
 
 # ---------------------------------------------------------------------------
@@ -435,12 +447,12 @@ def lyapunov_exponents(
     gen, driving : the cocycle; `driving` may be omitted when `window` is given.
     n : number of steps (requires n future symbols).
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if window is None:
         if driving is None:
             raise ValueError("need a driving system or an explicit window")
         window = driving.sample_window(0, n)
-    if n < 1:
-        raise ValueError("n must be at least 1")
     q, steps, _ = _propagate(gen.stack, window.symbols(0, n))
     _, rates = _sorted_columns(q, steps, _default_burn(n))
     blocks = _group_blocks(rates, gap_tolerance)
@@ -450,6 +462,8 @@ def lyapunov_exponents(
 def directional_exponent(gen: Generator, window: OmegaWindow, n: int,
                          v: np.ndarray) -> float:
     """(1/n) log ||L^(n) v||, accumulated with per-step renormalization."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
     v = np.asarray(v, dtype=float)
     nv = np.linalg.norm(v)
     if nv == 0:
@@ -513,6 +527,21 @@ def _start_frame(m: int, width: int, lead: np.ndarray | None = None) -> np.ndarr
     return _qr_pos(g)[0]
 
 
+def _project_off(f: np.ndarray, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x projected onto V = span(w)^⊥ along span(f), for orthonormal m×c
+    frames f and w: x - f (wᵀf)⁻¹ wᵀx.  DegenerateSum when V and span(f)
+    have concatenated frames with smallest singular value s / sqrt(1 + sqrt(1
+    - s²)) < 1e-10, s = σ_min(wᵀf), or when the result leaves V by > 1e-10."""
+    wf = w.T @ f
+    s = float(np.linalg.svd(wf, compute_uv=False)[-1])
+    if s / sqrt(1.0 + sqrt(max(1.0 - s * s, 0.0))) < DIRECT_SUM_MIN_SV:
+        raise DegenerateSum("sum is not direct (smallest singular value < 1e-10)")
+    y = x - f @ np.linalg.solve(wf, w.T @ x)
+    if np.max(np.abs(w.T @ y)) > IDEMPOTENCE_TOL:
+        raise DegenerateSum("projection leaves span(w)^⊥ by more than 1e-10")
+    return y
+
+
 def oseledets_splitting(
     gen: Generator,
     driving: DrivingSystem | None = None,
@@ -535,7 +564,8 @@ def oseledets_splitting(
     per block, the equivariance residual gap(L E_i(ω), E_i(σω)), the Cauchy
     gap against the same construction at half the past length, and the
     self-applied uniqueness value (norm of the projection onto V_{i+1} along
-    the fast sum, restricted to E_i).
+    the fast sum, restricted to E_i).  V_{i+1} enters only through the c_i
+    columns W_{:c_i} that span its orthogonal complement, so no m×m matrix is formed.
 
     `blocks` = p computes only the top p blocks (fewer when fewer are
     resolvable); the default computes every resolvable block.  With
@@ -601,18 +631,12 @@ def oseledets_splitting(
     exponents = tuple(b[0] for b in found)
     mults = tuple(b[1] for b in found)
     ends = list(accumulate(mults))
-    p, c_p = len(found), ends[-1]
+    c_p = ends[-1]
 
-    # filtration frames at coordinates 0 and 1; `slow`, the tail of one
-    # complete QR of the fast c_p columns at 0, spans their orthogonal
-    # complement, so V_{i+1} at 0 is slow_from(c_i) = span(W_{c_i:c_p}, slow)
+    # filtration frames at coordinates 0 and 1 (W_{:c_i} spans V_{i+1}^⊥)
     w0, r0rates = _sorted_columns(rev[n_future], steps[:n_future])
     w1, _ = _sorted_columns(rev[t1], steps[:t1])
     _check_block_boundaries(r0rates, ends + [m], gap_tolerance, n_future)
-    slow = np.linalg.qr(w0[:, :c_p], mode="complete")[0][:, c_p:]
-
-    def slow_from(c):
-        return np.hstack([w0[:, c:c_p], slow])
 
     # fast frames at coordinates 0 and 1 (push-forward of the c_p far-past
     # directions the blocks use)
@@ -633,8 +657,6 @@ def oseledets_splitting(
     splitting = blockwise(q0, w0)
     splitting_next = blockwise(q1, w1)
 
-    filtration = tuple(Subspace(slow_from(c)) for c in ends if c < m)
-
     # equivariance residuals
     a0 = gen.matrix(window.symbol(0))
     equiv = []
@@ -645,15 +667,8 @@ def oseledets_splitting(
             equiv.append(1.0)
 
     # uniqueness values for the report's own blocks
-    g0 = []
-    for i in range(p):
-        c_i = ends[i]
-        if c_i < m:
-            proj = project_along(kernel=Subspace(q0[:, :c_i]),
-                                 range=Subspace(slow_from(c_i)))
-            g0.append(float(np.linalg.norm(proj.matrix @ splitting[i].frame, 2)))
-        else:
-            g0.append(0.0)
+    g0 = [float(np.linalg.norm(_project_off(q0[:, :c], w0[:, :c], e.frame), 2))
+          if c < m else 0.0 for c, e in zip(ends, splitting)]
 
     # convergence (Cauchy) gaps against half the past length
     u_half, _ = _sorted_columns(rev[t_half], steps[:t_half], _default_burn(t_half))
@@ -664,15 +679,18 @@ def oseledets_splitting(
         raise NonConvergence(
             f"splitting Cauchy gap {worst:.3e} exceeds {convergence_tolerance:.3e}")
 
-    frames = [e.frame for e in splitting]
-    if c_p < m:
-        frames.append(slow)
-    min_sv = float(np.linalg.svd(np.hstack(frames), compute_uv=False)[-1])
+    # σ_min of [F, V_{p+1}], F = [E_1 ... E_p]: in the orthonormal basis
+    # [W, V_{p+1}] it is [[WᵀF, 0], [VᵀF, I]], whose singular values are
+    # those of [[WᵀF, 0], [R, I]] with RᵀR = Fᵀ(I - WWᵀ)F, plus ones
+    f, w = np.hstack([e.frame for e in splitting]), w0[:, :c_p]
+    r = np.linalg.qr(f - w @ (w.T @ f), mode="r")
+    small = np.block([[w.T @ f, np.zeros((c_p, c_p))], [r, np.eye(c_p)]])
+    min_sv = float(np.linalg.svd(small, compute_uv=False)[-1])
 
     return SpectrumReport(
         exponents=exponents,
         multiplicities=mults,
-        filtration=filtration,
+        filtration_complement=w,
         splitting=tuple(splitting),
         equivariance=tuple(equiv),
         uniqueness_g0=tuple(g0),
@@ -817,8 +835,7 @@ def uniqueness_diagnostic(
     series stays at numerical zero; for a genuinely different equivariant
     candidate it decays geometrically at about the rate difference between
     blocks i and i+1.  The filtration at coordinate k comes from the product
-    over the report's n_used steps after n, so the window needs n + n_used
-    future symbols.
+    over [k, n + n_used), so the window needs n + n_used future symbols.
     """
     if i < 1 or i > report.p:
         raise ValueError(f"block index {i} out of range 1..{report.p}")
@@ -854,8 +871,6 @@ def uniqueness_diagnostic(
         t = n + tail - k
         wk, _ = _sorted_columns(rev[t], steps[:t])
         cand = cands[k]
-        fast = Subspace(qk[:, :c_i])
-        slow = Subspace(wk[:, c_i:])
         # the candidate must complement V_{i+1} within V_i: together with the
         # faster blocks it has to span the whole space
         check = np.hstack([qk[:, :c_prev], cand, wk[:, c_i:]])
@@ -863,8 +878,7 @@ def uniqueness_diagnostic(
         if check.shape[1] != m or sv[-1] < 1e-10:
             raise NotComplementary(
                 f"candidate at step {k} fails the direct-sum precondition")
-        proj = project_along(kernel=fast, range=slow)
-        out[k] = np.linalg.norm(proj.matrix @ cand, 2)
+        out[k] = np.linalg.norm(_project_off(qk[:, :c_i], wk[:, :c_i], cand), 2)
         if k < n and collapsed[k]:
             raise NotComplementary(f"candidate collapses under the step at coordinate {k}")
     return out

@@ -60,11 +60,12 @@ class Subspace:
     @classmethod
     def from_spanning(cls, vectors: np.ndarray) -> "Subspace":
         """Orthonormalize the columns of `vectors` (must have full column rank)."""
-        a = np.atleast_2d(np.asarray(vectors, dtype=float))
-        if a.ndim != 2:
+        a = np.asarray(vectors, dtype=float)
+        if a.ndim != 2 or a.shape[1] < 1:
             raise DimensionMismatch("expected a 2-d array of column vectors")
         q, r = np.linalg.qr(a)
-        if np.min(np.abs(np.diag(r))) <= 1e-12 * max(1.0, np.max(np.abs(r))):
+        pivots = np.abs(np.diag(r))  # one per vector only when d <= m
+        if len(pivots) < a.shape[1] or np.min(pivots) <= 1e-12 * max(1.0, np.max(np.abs(r))):
             raise DimensionMismatch("spanning set is numerically rank deficient")
         return cls(q)
 

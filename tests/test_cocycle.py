@@ -1,4 +1,5 @@
 import warnings
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -22,13 +23,15 @@ from oseledets.cocycle import (
 )
 from oseledets.errors import (
     BlockDegeneracy,
+    DegenerateSum,
     EqualExponents,
     NonConvergence,
     NotComplementary,
     RestrictedSingular,
     WindowTooShort,
 )
-from oseledets.grassmann import Subspace, gap
+from oseledets.grassmann import Subspace, gap, project_along
+from oseledets.interval import RandomIntervalSystem, affine_map, chi_exact_iid, density_generator
 
 LOG2 = np.log(2.0)
 
@@ -124,6 +127,15 @@ def test_group_blocks_minus_inf_rates():
 def test_exponent_of_zero_vector():
     assert directional_exponent(DIAG, const_window(0, 50), 50,
                                 np.zeros(2)) == float("-inf")
+
+
+def test_exponents_need_a_step():
+    # (1/0) log ||v|| is undefined, and n is checked before a window is drawn
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            directional_exponent(DIAG, const_window(0, 50), n, np.ones(2))
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            lyapunov_exponents(DIAG, CONST_DRIVING, n=n)
 
 
 def test_generator_rejects_bad_symbols():
@@ -830,6 +842,246 @@ def test_uniqueness_diagnostic_tilted_candidate_decay_rate():
     slope = np.polyfit(np.arange(26)[mask], np.log(series[mask]), 1)[0]
     expected = -(rep.exponents[0] - rep.exponents[1])
     assert slope == pytest.approx(expected, rel=0.10)
+
+
+# -- the m×m assembly, kept as the exact reference ----------------------------
+
+def mm_splitting(gen, window, n_past, n_future, blocks=None, kappa_estimate=None):
+    """The filtration frames, uniqueness values and direct-sum minimum of
+    `oseledets_splitting` by the m×m route: `slow`, the tail of one complete
+    QR of the fast columns W_{:c_p}, V_{i+1} = span(W_{c_i:c_p}, slow),
+    `project_along` per block and one SVD of [E_1 ... E_p, slow].  The passes
+    and checks are those of `oseledets_splitting` (equivariance left out), so
+    a window fails here with the exception the m×m route raised."""
+    m, mats, gap_tolerance = gen.dim, gen.stack, cc.GAP_TOLERANCE
+    n_total, half = n_past + n_future, n_past // 2
+    t_half = n_future + half
+    width = m if blocks is None else min(blocks + 1, m)
+    while True:
+        _, steps, rev = cc._propagate(
+            mats, window.symbols(-n_past, n_future),
+            None if blocks is None else cc._start_frame(m, width), reverse=True,
+            record={n_total, t_half, n_future})
+        u_far, rates = cc._sorted_columns(rev[n_total], steps, cc._default_burn(n_total))
+        grouped = cc._group_blocks(rates, gap_tolerance)
+        closed = grouped if width == m else grouped[:-1]
+        found = cc._resolvable(closed, kappa_estimate, gap_tolerance)
+        if width == m or len(found) >= blocks or len(found) < len(closed):
+            break
+        width = min(2 * width, m)
+    found = found[:blocks]
+    if not found:
+        raise BlockDegeneracy("no resolvable exponent blocks above the threshold")
+    ends = list(accumulate(d for _, d in found))
+    c_p = ends[-1]
+    w0, r0rates = cc._sorted_columns(rev[n_future], steps[:n_future])
+    cc._check_block_boundaries(r0rates, ends + [m], gap_tolerance, n_future)
+    slow = np.linalg.qr(w0[:, :c_p], mode="complete")[0][:, c_p:]
+
+    def slow_from(c):
+        return np.hstack([w0[:, c:c_p], slow])
+
+    def blockwise(qf):
+        spaces = []
+        for c_prev, c_i in zip([0, *ends[:-1]], ends):
+            vt = np.linalg.svd(w0[:, :c_prev].T @ qf[:, :c_i])[2]
+            spaces.append(Subspace(qf[:, :c_i] @ vt[c_prev:].T))
+        return spaces
+
+    q0 = cc._propagate(mats, window.symbols(-n_past, 0), u_far[:, :c_p])[0]
+    splitting = blockwise(q0)
+    g0 = []
+    for c_i, e in zip(ends, splitting):
+        if c_i < m:
+            proj = project_along(kernel=Subspace(q0[:, :c_i]), range=Subspace(slow_from(c_i)))
+            g0.append(float(np.linalg.norm(proj.matrix @ e.frame, 2)))
+        else:
+            g0.append(0.0)
+    u_half, _ = cc._sorted_columns(rev[t_half], steps[:t_half], cc._default_burn(t_half))
+    q_half = cc._propagate(mats, window.symbols(-half, 0), u_half[:, :c_p])[0]
+    if max(gap(a, b) for a, b in zip(splitting, blockwise(q_half))) > cc.CONVERGENCE_TOLERANCE:
+        raise NonConvergence("splitting Cauchy gap exceeds the tolerance")
+    frames = [e.frame for e in splitting] + ([slow] if c_p < m else [])
+    min_sv = float(np.linalg.svd(np.hstack(frames), compute_uv=False)[-1])
+    filtration = [Subspace(slow_from(c)).frame for c in ends if c < m]
+    return filtration, g0, min_sv
+
+
+def mm_uniqueness_series(gen, window, candidate, report, i, n):
+    """`uniqueness_diagnostic` with an m×m `project_along` at every step."""
+    c_i = report.block_ends[i - 1]
+    c_prev = 0 if i == 1 else report.block_ends[i - 2]
+    m, mats = gen.dim, gen.stack
+    tail, n_past = report.n_used, report.n_past_used
+    n_total = n_past + n + tail
+    _, steps, rev = cc._propagate(mats, window.symbols(-n_past, n + tail), reverse=True,
+                                  record={n_total, *range(tail, n + tail + 1)})
+    u_far, _ = cc._sorted_columns(rev[n_total], steps, cc._default_burn(n_total))
+    fw = cc._propagate(mats, window.symbols(-n_past, n), u_far,
+                       record=range(n_past, n_past + n + 1))[2]
+    _, cand_steps, cands = cc._propagate(mats, window.symbols(0, n), candidate.frame,
+                                         record=range(n + 1))
+    collapsed = (cand_steps.min(axis=1)
+                 <= np.log(1e-12) + np.maximum(cand_steps.max(axis=1), 0.0))
+    out = np.empty(n + 1)
+    for k in range(n + 1):
+        qk, t = fw[n_past + k], n + tail - k
+        wk = cc._sorted_columns(rev[t], steps[:t])[0]
+        check = np.hstack([qk[:, :c_prev], cands[k], wk[:, c_i:]])
+        if check.shape[1] != m or np.linalg.svd(check, compute_uv=False)[-1] < 1e-10:
+            raise NotComplementary(f"candidate at step {k} fails the direct-sum precondition")
+        proj = project_along(kernel=Subspace(qk[:, :c_i]), range=Subspace(wk[:, c_i:]))
+        out[k] = np.linalg.norm(proj.matrix @ cands[k], 2)
+        if k < n and collapsed[k]:
+            raise NotComplementary(f"candidate collapses under the step at coordinate {k}")
+    return out
+
+
+def outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # the class is what both routes must share
+        return exc
+
+
+def failed_alike(got, want):
+    """True when both routes failed with one exception class.  The m×m route
+    also rejects a direct sum on rounding alone: `ProjectionPair` bounds
+    P² - P, P·range - range and P·kernel absolutely, and their rounding grows
+    with ||P|| (a pair with σ_min 2.4e-4 and ||P|| = 2.9e3 leaves P² - P at
+    2.9e-10).  The c×c route bounds Wᵀy instead and goes on to the next
+    check; such windows return False."""
+    if isinstance(want, DegenerateSum) and "not direct" not in str(want):
+        assert not isinstance(got, DegenerateSum)
+        return False
+    assert type(got) is type(want)
+    return True
+
+
+def assert_matches_mm_route(gen, window, n_past, n_future, blocks=None, kappa_estimate=None,
+                            g_len=0):
+    """The splitting (and, with g_len, the uniqueness series of its own and of
+    a tilted top block) agrees with the m×m route, or both fail alike."""
+    got = outcome(lambda: oseledets_splitting(
+        gen, None, window, n_past=n_past, n_future=n_future, blocks=blocks,
+        kappa_estimate=kappa_estimate))
+    want = outcome(lambda: mm_splitting(gen, window, n_past, n_future, blocks, kappa_estimate))
+    if isinstance(got, Exception) or isinstance(want, Exception):
+        return got if failed_alike(got, want) else None
+    filtration, g0, min_sv = want
+    assert len(got.filtration) == len(filtration)
+    assert all(np.array_equal(v.frame, f) for v, f in zip(got.filtration, filtration))
+    assert np.max(np.abs(np.subtract(got.uniqueness_g0, g0))) <= 1e-12
+    assert abs(got.direct_sum_min_sv - min_sv) <= 1e-12
+    if g_len and got.p >= 2:
+        tilted = np.array(got.splitting[0].frame, copy=True)
+        tilted[:, 0] += 0.25 * got.filtration[0].frame[:, 0]
+        for cand in (got.splitting[0], Subspace.from_spanning(tilted)):
+            series = outcome(lambda: uniqueness_diagnostic(gen, window, cand, got, 1, g_len))
+            ref = outcome(lambda: mm_uniqueness_series(gen, window, cand, got, 1, g_len))
+            if isinstance(series, Exception) or isinstance(ref, Exception):
+                assert failed_alike(series, ref)
+            else:
+                assert np.max(np.abs(series - ref)) <= 1e-12
+    return got
+
+
+def test_splitting_matches_mm_route_on_test_cases():
+    rng = np.random.default_rng(12)
+    diag4 = Generator.from_list([np.diag(rng.uniform(0.5, 4.0, size=4)) for _ in range(2)])
+    rng = np.random.default_rng(10)
+    positive = Generator.from_list([rng.uniform(0.5, 2.0, size=(2, 2)) for _ in range(3)])
+    cases = [
+        (DIAG, const_window(300, 120), 200, 50),
+        (TRIANGULAR, const_window(300, 120), 200, 50),
+        (diag4, DrivingSystem.iid([0.5, 0.5], seed=13).sample_window(150, 60), 150, 40),
+        (positive, DrivingSystem.iid([1 / 3] * 3, seed=11).sample_window(200, 70), 200, 50),
+        (separated_cocycle(np.random.default_rng(3), 6, top2=True),
+         DrivingSystem.iid([1 / 3] * 3, seed=4).sample_window(200, 70), 200, 50),
+    ]
+    for gen, window, n_past, n_future in cases:
+        rep = assert_matches_mm_route(gen, window, n_past, n_future, g_len=20)
+        assert isinstance(rep, cc.SpectrumReport)
+        for p in range(1, rep.p + 1):
+            assert isinstance(assert_matches_mm_route(gen, window, n_past, n_future, blocks=p),
+                              cc.SpectrumReport)
+
+
+@pytest.mark.parametrize("law", ["iid", "markov"])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_splitting_matches_mm_route_on_random_cocycles(m, law):
+    outcomes = []
+    for seed in range(4):
+        rng = np.random.default_rng([m, seed])
+        gen = Generator.from_list([rng.normal(size=(m, m)) for _ in range(3)])
+        if law == "iid":
+            drv = DrivingSystem.iid([1 / 3] * 3, seed=seed)
+        else:
+            t = rng.uniform(0.2, 1.0, size=(3, 3))
+            drv = DrivingSystem.markov(t / t.sum(axis=1, keepdims=True), seed=seed)
+        window = drv.sample_window(200, 70)
+        for blocks in (None, 1, 2, m):
+            outcomes.append(assert_matches_mm_route(gen, window, 200, 50, blocks,
+                                                    g_len=20 * (blocks is None)))
+    assert any(isinstance(o, cc.SpectrumReport) for o in outcomes)
+
+
+def test_leaky_full_width_fails_like_mm_route():
+    # the full-width Ulam splitting of LEAKY (tests/test_interval.py) at k = 48
+    # has a degenerate direct sum on a spurious lower block
+    leaky = affine_map([[0, 1 / 6, 3, 0], [1 / 6, 1 / 3, 3, -0.5], [1 / 3, 1 / 2, 3, -0.5],
+                        [1 / 2, 2 / 3, 3, -1], [2 / 3, 5 / 6, 3, -1.5], [5 / 6, 1, 3, -2]])
+    drv = DrivingSystem.iid([1.0], seed=0)
+    sys = RandomIntervalSystem((leaky,), drv)
+    window, kappa = drv.sample_window(200, 50), float(np.log(chi_exact_iid(sys)))
+    assert isinstance(assert_matches_mm_route(density_generator(sys, 48), window, 200, 50,
+                                              kappa_estimate=kappa), DegenerateSum)
+    assert isinstance(assert_matches_mm_route(density_generator(sys, 24), window, 200, 50,
+                                              kappa_estimate=kappa), cc.SpectrumReport)
+
+
+def mm_projection(f, w):
+    """The m×m projection onto span(w)^⊥ along span(f) by `project_along`."""
+    slow = np.linalg.qr(w, mode="complete")[0][:, w.shape[1]:]
+    return project_along(kernel=Subspace(f), range=Subspace(slow)).matrix
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_project_off_matches_project_along(m):
+    rng = np.random.default_rng(m)
+    compared = 0
+    for c in range(1, m):
+        for _ in range(5):
+            f = np.linalg.qr(rng.normal(size=(m, c)))[0]
+            w = np.linalg.qr(rng.normal(size=(m, c)))[0]
+            x = rng.normal(size=(m, 2))
+            y = cc._project_off(f, w, x)
+            p = outcome(lambda: mm_projection(f, w))
+            if isinstance(p, DegenerateSum):  # a rounding rejection, see `failed_alike`
+                assert "not direct" not in str(p)
+                continue
+            tol = 1e-12 * max(1.0, np.linalg.norm(p, 2))
+            assert np.max(np.abs(y - p @ x)) <= tol
+            compared += 1
+    assert compared >= 0.9 * 5 * (m - 1)
+
+
+@pytest.mark.parametrize("sigma,not_direct", [(0.5e-10, True), (2e-10, False)])
+def test_project_off_degenerate_threshold_matches_project_along(sigma, not_direct):
+    # f = (s e_1 + sqrt(1 - s²) e_3, e_2) against w = (e_1, e_2) in R^5, turned
+    # by a random rotation: σ_min(wᵀf) = s, and the frames of span(w)^⊥ and
+    # span(f) have smallest singular value sigma when s = sigma sqrt(2 - sigma²).
+    # Both routes raise on both pairs: below 1e-10 on the direct-sum check, and
+    # above it on the check of their result, whose rounding grows like 1/sigma.
+    s = sigma * np.sqrt(2.0 - sigma ** 2)
+    e = np.eye(5)
+    rot = np.linalg.qr(np.random.default_rng(0).normal(size=(5, 5)))[0]
+    f = rot @ np.column_stack([s * e[0] + np.sqrt(1.0 - s * s) * e[2], e[1]])
+    w = rot @ e[:, :2]
+    x = np.ones((5, 1))
+    for exc in (outcome(lambda: cc._project_off(f, w, x)), outcome(lambda: mm_projection(f, w))):
+        assert isinstance(exc, DegenerateSum)
+        assert ("not direct" in str(exc)) is not_direct
 
 
 # -- the non-invertible-base demonstration -------------------------------------

@@ -31,6 +31,20 @@ def test_subspace_rejects_bad_frame():
         Subspace(np.array([[1.0, 1.0], [0.0, 0.0]]))
 
 
+def test_from_spanning_needs_columns_of_one_matrix():
+    # a 1-d array is not m×d (np.atleast_2d would read it as one row, R^1)
+    with pytest.raises(DimensionMismatch):
+        Subspace.from_spanning(np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(DimensionMismatch):
+        Subspace.from_spanning(np.ones((2, 2, 2)))
+    # three vectors in R^2 (one of them zero) span at most R^2: rank deficient
+    with pytest.raises(DimensionMismatch, match="rank deficient"):
+        Subspace.from_spanning(np.eye(2, 3))
+    with pytest.raises(DimensionMismatch, match="rank deficient"):
+        Subspace.from_spanning(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
+    assert Subspace.from_spanning(np.array([[1.0], [2.0], [3.0]])).d == 1
+
+
 def test_projection_coordinate_example():
     p = project_along(kernel=Subspace.span([1.0, 0.0]),
                       range=Subspace.span([0.0, 1.0]))

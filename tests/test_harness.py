@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from oseledets import cocycle as cc
 from oseledets import sft as sf
 from oseledets.errors import ConfigError, UnknownField
 from oseledets.harness import lemmas
@@ -142,6 +143,22 @@ def test_run_interval_record(tmp_path):
     assert abs(record["lambda1"]) <= 1e-10
     assert record["density_flatness"] <= 1e-8
     assert record["d1"] == 1
+
+
+def test_run_interval_never_builds_the_filtration(tmp_path, monkeypatch):
+    # the filtration frames are m×m objects built on read; an interval run
+    # needs E_1 alone
+    def unread(report):
+        raise AssertionError("the interval path read SpectrumReport.filtration")
+
+    monkeypatch.setattr(cc.SpectrumReport, "filtration", property(unread))
+    rep = cc.oseledets_splitting(cc.Generator.from_list([np.diag([2.0, 0.5])]),
+                                 cc.DrivingSystem.iid([1.0], seed=0), n_past=20, n_future=5)
+    with pytest.raises(AssertionError, match="read SpectrumReport.filtration"):
+        rep.filtration
+    cfg = load_config(write_cfg(tmp_path, INTERVAL_CFG.replace("k = 32", "k = 64")))
+    record = runner.run_interval(cfg)
+    assert record["k"] == 64 and abs(record["lambda1"]) <= 1e-10
 
 
 def test_run_sft_record(tmp_path):
