@@ -37,6 +37,12 @@ from .grassmann import DIRECT_SUM_MIN_SV, IDEMPOTENCE_TOL, Subspace, gap
 GAP_TOLERANCE = 1e-3
 CONVERGENCE_TOLERANCE = 1e-6
 RESOLVABLE_FLOOR = -690.0  # per-step rates below exp underflow are unresolvable
+# A Gram-Schmidt step of `_propagate` keeps a column when its squared norm
+# after orthogonalisation exceeds GS_CANCEL2 times the one before (the column
+# keeps more than 1e-10 of its length) and lies inside GS_NORM2_RANGE;
+# otherwise `_qr_pos` redoes the step.
+GS_CANCEL2 = 1e-20
+GS_NORM2_RANGE = (1e-290, 1e290)
 
 
 # ---------------------------------------------------------------------------
@@ -305,26 +311,34 @@ def _propagate(mats, symbols, q=None, *, reverse=False, record=()):
     the diagonal.
 
     `mats` is the (alphabet, m, m) stack of generator matrices and `q` the
-    start frame (default: the identity).  With reverse=True the transposed
-    factors are applied in reverse symbol order, so after t steps Q is the
-    frame of the transposed product over the last t symbols.  Returns the
-    final Q, the per-step log|diag R| as a (steps, columns) array and {t: Q
-    after t steps} for t in `record`.
+    m×k start frame (default: the identity).  With reverse=True the
+    transposed factors are applied in reverse symbol order, so after t steps
+    Q is the frame of the transposed product over the last t symbols.
+    Returns the final Q, the per-step log|diag R| as a (steps, k) array and
+    {t: Q after t steps} for t in `record`.
 
-    For m <= 3 a step runs on Python floats on vectors zero-padded to length
-    3: Gram-Schmidt, applied twice, orthonormalises the columns of A_s Q.  A
-    step with a column that this cancels below 1e-10 of its length or whose
-    squared norm leaves [1e-290, 1e290] (an exact zero pivot included) is
-    redone by `_qr_pos`, so singular generators keep exact -inf rates.
+    The step depends on m and k:
+    - m <= 3: Gram-Schmidt, applied twice, on Python floats, with vectors
+      zero-padded to length 3;
+    - m > 3, k <= 3: the same Gram-Schmidt in numpy on the rows of Qᵀ, one
+      contiguous row per column, with Python-float coefficients;
+    - m > 3, k > 3: one `_qr_pos` call.
+    A Gram-Schmidt step with a column that it cancels below 1e-10 of its
+    length or whose squared norm leaves [1e-290, 1e290] (an exact zero pivot
+    included) is redone by `_qr_pos`, so singular generators keep exact -inf
+    rates.
     """
     if len(symbols) and not 0 <= symbols.min() <= symbols.max() < len(mats):
         raise ValueError("window symbol outside the generator alphabet")
     if reverse:
         mats, symbols = mats.transpose(0, 2, 1), symbols[::-1]
-    q = np.eye(mats.shape[1]) if q is None else q
-    (m, k), n = q.shape, len(symbols)
+    m, n = mats.shape[1], len(symbols)
+    q = np.eye(m) if q is None else q
+    if q.ndim != 2 or q.shape[0] != m:
+        raise DimensionMismatch(f"start frame of shape {q.shape} for {m}×{m} generators")
+    k = q.shape[1]
     recorded = {0: q} if 0 in record else {}
-    if m > 3:
+    if k > 3:
         steps = np.empty((n, k))
         with np.errstate(divide="ignore"):
             for t, s in enumerate(symbols.tolist(), 1):
@@ -334,35 +348,66 @@ def _propagate(mats, symbols, q=None, *, reverse=False, record=()):
                     recorded[t] = q
         return q, steps, recorded
 
-    def frame():  # the columns as an (m, k) array
-        return np.reshape(cols, (k, 3))[:, :m].T
-
-    gens = np.pad(mats, ((0, 0), (0, 3 - m), (0, 3 - m))).reshape(-1, 9).tolist()
-    cols = np.pad(q.T, ((0, 0), (0, 3 - m))).tolist()
+    cancel, (lo, hi) = GS_CANCEL2, GS_NORM2_RANGE  # locals: read once per column
     diag = array("d")  # |R_jj| per step
-    for t, s in enumerate(symbols.tolist(), 1):
-        a0, a1, a2, a3, a4, a5, a6, a7, a8 = gens[s]
-        new = []
-        for x, y, z in cols:
-            u, v, w = a0 * x + a1 * y + a2 * z, a3 * x + a4 * y + a5 * z, a6 * x + a7 * y + a8 * z
-            ny = u * u + v * v + w * w
-            for p0, p1, p2 in new + new:  # Gram-Schmidt twice
-                d = p0 * u + p1 * v + p2 * w
-                u, v, w = u - d * p0, v - d * p1, w - d * p2
-            nw = u * u + v * v + w * w
-            if not (1e-20 * ny < nw and 1e-290 < nw < 1e290):
-                break
-            nrm = sqrt(nw)
-            diag.append(nrm)
-            new.append((u / nrm, v / nrm, w / nrm))
-        if len(new) < k:  # drop what this step wrote and redo it with numpy
-            del diag[(t - 1) * k:]
-            qn, r = _qr_pos(mats[s] @ frame())
-            new = np.pad(qn.T, ((0, 0), (0, 3 - m))).tolist()
-            diag.extend(np.diag(r).tolist())
-        cols = new
-        if t in record:
-            recorded[t] = frame()
+    if m > 3:
+        def frame():  # the columns as an (m, k) array
+            return rows.T
+
+        rows = np.ascontiguousarray(q.T)
+        for t, s in enumerate(symbols.tolist(), 1):
+            y = rows @ mats[s].T
+            new = []
+            for u in y:  # u is a view of one row of y, orthogonalised in place
+                ny = nw = float(u.dot(u))
+                if new:
+                    for p in new + new:  # Gram-Schmidt twice
+                        u -= float(p.dot(u)) * p
+                    nw = float(u.dot(u))
+                if not (cancel * ny < nw and lo < nw < hi):
+                    break
+                nrm = sqrt(nw)
+                u /= nrm
+                diag.append(nrm)
+                new.append(u)
+            if len(new) < k:  # drop what this step wrote and redo it with numpy
+                del diag[(t - 1) * k:]
+                qn, r = _qr_pos(mats[s] @ frame())
+                y = np.ascontiguousarray(qn.T)
+                diag.extend(np.diag(r).tolist())
+            rows = y
+            if t in record:
+                recorded[t] = frame()
+    else:
+        def frame():  # the columns as an (m, k) array
+            return np.reshape(cols, (k, 3))[:, :m].T
+
+        gens = np.pad(mats, ((0, 0), (0, 3 - m), (0, 3 - m))).reshape(-1, 9).tolist()
+        cols = np.pad(q.T, ((0, 0), (0, 3 - m))).tolist()
+        for t, s in enumerate(symbols.tolist(), 1):
+            a0, a1, a2, a3, a4, a5, a6, a7, a8 = gens[s]
+            new = []
+            for x, y, z in cols:
+                u, v, w = (a0 * x + a1 * y + a2 * z, a3 * x + a4 * y + a5 * z,
+                           a6 * x + a7 * y + a8 * z)
+                ny = u * u + v * v + w * w
+                for p0, p1, p2 in new + new:  # Gram-Schmidt twice
+                    d = p0 * u + p1 * v + p2 * w
+                    u, v, w = u - d * p0, v - d * p1, w - d * p2
+                nw = u * u + v * v + w * w
+                if not (cancel * ny < nw and lo < nw < hi):
+                    break
+                nrm = sqrt(nw)
+                diag.append(nrm)
+                new.append((u / nrm, v / nrm, w / nrm))
+            if len(new) < k:  # drop what this step wrote and redo it with numpy
+                del diag[(t - 1) * k:]
+                qn, r = _qr_pos(mats[s] @ frame())
+                new = np.pad(qn.T, ((0, 0), (0, 3 - m))).tolist()
+                diag.extend(np.diag(r).tolist())
+            cols = new
+            if t in record:
+                recorded[t] = frame()
     steps = np.frombuffer(diag).reshape(n, k)
     with np.errstate(divide="ignore"):
         np.log(steps, out=steps)
@@ -461,10 +506,18 @@ def lyapunov_exponents(
 
 def directional_exponent(gen: Generator, window: OmegaWindow, n: int,
                          v: np.ndarray) -> float:
-    """(1/n) log ||L^(n) v||, accumulated with per-step renormalization."""
+    """(1/n) log ||L^(n) v||, accumulated with per-step renormalization.
+
+    `v` is a finite vector of length gen.dim: DimensionMismatch for another
+    shape, ValueError for a non-finite entry.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     v = np.asarray(v, dtype=float)
+    if v.shape != (gen.dim,):
+        raise DimensionMismatch(f"direction of shape {v.shape} for a {gen.dim}-dim generator")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("direction has a non-finite entry")
     nv = np.linalg.norm(v)
     if nv == 0:
         return float("-inf")

@@ -236,16 +236,33 @@ def run(cfg: RunConfig) -> dict:
     return record
 
 
+def _grid_target(key: str) -> tuple[str, str]:
+    """The (section, name) a grid key sets: `section.name`, or a bare
+    numerics name."""
+    section, dot, name = key.partition(".")
+    return (section, name) if dot else ("numerics", section)
+
+
 def parse_grid(specs: list[str]) -> list[tuple[str, list[str]]]:
-    grid = []
+    """(key, values) per `KEY=V1,V2,...` spec, in order.  ConfigError for a
+    spec without values, with an empty section or name, or with a key that
+    sets the same field as an earlier one (`k` and `numerics.k` alike)."""
+    grid, targets = [], set()
     for spec in specs:
         if "=" not in spec:
             raise ConfigError(f"grid spec {spec!r} must look like KEY=V1,V2,...")
         key, values = spec.split("=", 1)
+        key = key.strip()
         vals = [v for v in values.split(",") if v != ""]
         if not vals:
             raise ConfigError(f"grid spec {spec!r} has no values")
-        grid.append((key.strip(), vals))
+        target = _grid_target(key)
+        if not all(target):
+            raise ConfigError(f"grid spec {spec!r} has an empty section or name")
+        if target in targets:
+            raise ConfigError(f"grid spec {spec!r} repeats the key of an earlier spec")
+        targets.add(target)
+        grid.append((key, vals))
     return grid
 
 
@@ -255,10 +272,8 @@ def _apply_point(cfg: RunConfig, point: dict[str, str], index: int) -> RunConfig
     out = copy.deepcopy(cfg)
     out.seed = cfg.seed ^ index
     for key, value in point.items():
-        section, _, name = key.partition(".")
-        if not name:
-            out.numerics[section] = value
-        elif section == "numerics":
+        section, name = _grid_target(key)
+        if section == "numerics":
             out.numerics[name] = value
         elif section == "system":
             out.system[name] = value

@@ -24,6 +24,7 @@ from oseledets.cocycle import (
 from oseledets.errors import (
     BlockDegeneracy,
     DegenerateSum,
+    DimensionMismatch,
     EqualExponents,
     NonConvergence,
     NotComplementary,
@@ -194,6 +195,33 @@ def test_directional_exponent_matches_norm_loop():
         total += np.log(np.linalg.norm(u))
         u = u / np.linalg.norm(u)
     assert directional_exponent(gen, w, 500, v) == pytest.approx(total / 500, abs=1e-12)
+
+
+def test_directional_exponent_takes_m_from_the_generator():
+    # a direction of the generator's dimension runs at that dimension (m = 5
+    # is the numpy Gram-Schmidt step); any other shape is refused, not padded
+    # or reshaped into matrices of another size
+    five = Generator.from_list([2.0 * np.eye(5)])
+    e0 = np.eye(5)[0]
+    assert directional_exponent(five, const_window(0, 10), 10, e0) == pytest.approx(LOG2, abs=1e-15)
+    three = Generator.from_list([2.0 * np.eye(3)])
+    for gen, v in [(five, [1.0, 0.0]), (three, [1.0, 0.0]), (three, [[1.0], [0.0], [0.0]]),
+                   (DIAG, [1.0, 0.0, 0.0]), (DIAG, 1.0)]:
+        with pytest.raises(DimensionMismatch):
+            directional_exponent(gen, const_window(0, 10), 10, np.array(v))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_directional_exponent_rejects_non_finite_directions(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        directional_exponent(DIAG, const_window(0, 10), 10, np.array([1.0, bad]))
+
+
+def test_propagate_rejects_a_frame_of_another_dimension():
+    for m, q in [(5, np.eye(2, 1)), (3, np.eye(2, 1)), (2, np.eye(3, 2)), (4, np.ones(4)),
+                 (64, np.eye(63, 2))]:
+        with pytest.raises(DimensionMismatch):
+            cc._propagate(np.eye(m)[None], np.zeros(4, dtype=int), q)
 
 
 def test_sup_over_directions_matches_norm_rate():
@@ -585,10 +613,12 @@ def assert_matches_reference(mats, symbols, q0, reverse, qr_pos=cc._qr_pos):
 
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=20, deadline=None)
-@pytest.mark.parametrize("m, k", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
+@pytest.mark.parametrize("m, k", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3),
+                                  (4, 1), (4, 3), (8, 2), (64, 1), (64, 2), (64, 3)])
 @pytest.mark.parametrize("reverse", [False, True])
 def test_scalar_kernel_matches_numpy_loop(m, k, reverse, seed):
-    # random cocycles on m <= 3 (the Python-float path) against the numpy loop:
+    # random cocycles on m <= 3 (the Python-float path) and on frames of at
+    # most 3 columns for m > 3 (the numpy Gram-Schmidt path) against the loop:
     # rotations times scalings in [0.5, 2], so each step has condition number
     # at most 4 and both loops agree to round-off
     rng = np.random.default_rng(seed)
@@ -669,6 +699,65 @@ def test_scalar_kernel_orthonormal_on_ill_conditioned_steps():
         for k in (2, 3):
             q = cc._propagate(np.stack([near, turn]), symbols, np.eye(3, k))[0]
             assert np.max(np.abs(q.T @ q - np.eye(k))) <= 1e-15
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_narrow_kernel_falls_back_on_zero_pivot(monkeypatch, reverse):
+    # the generators of `test_scalar_kernel_falls_back_on_zero_pivot` next to
+    # a full 2x2 block at m = 5: on span(e0, e1, e2) the singular generator's
+    # third column is exactly zero, so each of its steps with that 3-column
+    # frame has an exact zero pivot and is redone by `_qr_pos`
+    qr_pos = cc._qr_pos
+    calls = count_qr_pos_calls(monkeypatch)
+    lower = np.array([[0.7, -1.2], [0.4, 1.1]])
+    singular = np.zeros((5, 5))
+    singular[:3, :3] = [[1.0, 2.0, 0.0], [-0.5, 1.5, 0.0], [0.0, 0.0, 0.0]]
+    regular = np.zeros((5, 5))
+    regular[:3, :3] = [[0.5, -1.0, 0.0], [2.0, 0.3, 0.0], [0.0, 0.0, 2.0]]
+    singular[3:, 3:] = regular[3:, 3:] = lower
+    mats = np.stack([singular, regular])
+    symbols = DrivingSystem.iid([0.5, 0.5], seed=12).sample_window(0, 40).future
+    _, steps, _ = cc._propagate(mats, symbols, np.eye(5, 3), reverse=reverse)
+    assert len(calls) == np.count_nonzero(symbols == 0) > 0
+    assert np.array_equal(np.isneginf(steps[:, 2]), (symbols[::-1] if reverse else symbols) == 0)
+    for q0 in (np.eye(5, 3), np.eye(5)[:, [2]], np.eye(5)[:, [2, 3]]):
+        assert_matches_reference(mats, symbols, q0, reverse, qr_pos)
+
+
+def test_narrow_kernel_falls_back_on_cancelled_column(monkeypatch):
+    # conjugated singular generators at m = 5 on 3-column frames.  S diag(5,
+    # 2, 0, 0, 0.3) S^-1 has rank 3: after one step the frame spans its range
+    # and no column cancels.  S diag(5, 2, 0, 0, 0) S^-1 has rank 2:
+    # Gram-Schmidt cancels the third column of every step to round-off, so
+    # every step is redone by `_qr_pos`.  The frames stay orthonormal.
+    s = np.eye(5) + 0.4 * np.random.default_rng(0).normal(size=(5, 5))
+    calls = count_qr_pos_calls(monkeypatch)
+    for last, redone in [(0.3, 0), (0.0, 30)]:
+        calls.clear()
+        mats = (s @ np.diag([5.0, 2.0, 0.0, 0.0, last]) @ np.linalg.inv(s))[None]
+        q, steps, _ = cc._propagate(mats, np.zeros(30, dtype=int), np.eye(5, 3))
+        assert len(calls) == redone
+        assert np.max(np.abs(q.T @ q - np.eye(3))) <= 1e-14
+    # the rank-2 generator's third rate is round-off
+    assert np.all(steps[:, 2] < np.log(1e-10) + steps[:, 0])
+
+
+@pytest.mark.parametrize("m", [6, 64])
+def test_narrow_kernel_orthonormal_on_ill_conditioned_steps(monkeypatch, m):
+    # every column of the generator is within 1e-7 of one direction, so
+    # Gram-Schmidt cancels the second and third columns of its steps to 5e-8
+    # to 2e-5 of their length (above the fallback threshold, so no step is
+    # redone); the second pass keeps the frames orthonormal to round-off
+    rng = np.random.default_rng(1)
+    calls = count_qr_pos_calls(monkeypatch)
+    for _ in range(10):
+        rot, turn = (np.linalg.qr(rng.normal(size=(m, m)))[0] for _ in range(2))
+        near = rot @ (np.outer(np.eye(m)[0], np.ones(m)) + 1e-7 * np.eye(m)) @ rot.T
+        symbols = rng.integers(0, 2, size=30)
+        for k in (2, 3):
+            q = cc._propagate(np.stack([near, turn]), symbols, np.eye(m, k))[0]
+            assert np.max(np.abs(q.T @ q - np.eye(k))) <= 1e-15
+    assert not calls
 
 
 def test_scalar_kernel_without_steps():

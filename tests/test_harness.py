@@ -161,6 +161,23 @@ def test_run_interval_never_builds_the_filtration(tmp_path, monkeypatch):
     assert record["k"] == 64 and abs(record["lambda1"]) <= 1e-10
 
 
+def test_run_interval_qr_work_count(tmp_path, monkeypatch):
+    # the passes of a k = 64 interval run track frames of at most 3 columns,
+    # so every propagation step is a Gram-Schmidt step: `_qr_pos` runs only
+    # to orthonormalise the start frames
+    qr_pos, callers = cc._qr_pos, []
+
+    def counting(y):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return qr_pos(y)
+
+    monkeypatch.setattr(cc, "_qr_pos", counting)
+    text = INTERVAL_CFG.replace("k = 32", "k = 64").replace("doubling", "tripling, slope:0.75")
+    record = runner.run_interval(load_config(write_cfg(tmp_path, text)))
+    assert record["k"] == 64 and abs(record["lambda1"]) <= 1e-10
+    assert callers and set(callers) == {"_start_frame"}
+
+
 def test_run_sft_record(tmp_path):
     cfg = load_config(write_cfg(tmp_path, SFT_CFG))
     record = runner.run(cfg)
@@ -466,9 +483,16 @@ TWO_MATRIX_CFG = COCYCLE_CFG.replace("[[2, 0], [0, 0.5]]",
     # a splitting needs two past steps for its convergence check
     (["run"], COCYCLE_CFG.replace("n_past = 150", "n_past = 1")),
     (["sweep", "--grid", "n_past=150,1"], INTERVAL_CFG),
+    # grid specs that would be dropped or would set nothing
+    (["sweep", "--grid", "k=32", "--grid", "k=64"], INTERVAL_CFG),
+    (["sweep", "--grid", "k=32", "--grid", "numerics.k=64"], INTERVAL_CFG),
+    (["sweep", "--grid", "=1,2"], INTERVAL_CFG),
+    (["sweep", "--grid", "numerics.=3"], INTERVAL_CFG),
+    (["sweep", "--grid", ".k=3"], INTERVAL_CFG),
 ], ids=["transition-row-sum", "transition-negative", "n", "n_past", "k", "n_ic",
         "m_proj", "ly_samples", "n_pairs", "sweep-k", "cocycle-n_past-1",
-        "sweep-interval-n_past-1"])
+        "sweep-interval-n_past-1", "sweep-repeated-key", "sweep-aliased-key",
+        "sweep-empty-key", "sweep-empty-name", "sweep-empty-section"])
 def test_cli_out_of_range_config_is_config_error(tmp_path, capsys, argv, text):
     out_path = tmp_path / "rec.ndjson"
     assert main([*argv, "--config", write_cfg(tmp_path, text), "--out", str(out_path)]) == 2
