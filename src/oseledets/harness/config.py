@@ -26,6 +26,7 @@ Grammar (UTF-8, parsed with configparser):
     n_past = 200
     ...
 
+Each kind accepts only the [numerics] keys it reads (`NUMERICS_KEYS`).
 Matrices are bracketed row lists; several matrices are separated by ';'.
 Every tolerance must be positive and the seed must be given explicitly: runs
 never draw entropy from the environment.
@@ -47,6 +48,14 @@ KINDS = ("cocycle", "interval", "sft", "counterexample", "lemma-suite")
 COUNT_MINIMA = {"n": 1, "k": 1, "n_ic": 1, "m_proj": 1, "n_pairs": 1, "ly_samples": 1,
                 "n_past": 0, "n_future": 0, "g_len": 0, "ic_samples": 0,
                 "past_length": 0, "future_length": 0}
+# the [numerics] keys a run of each kind reads; any other key is an error
+NUMERICS_KEYS = {
+    "cocycle": {"n", "n_past", "n_future", "g_len", "gap_tolerance", "convergence_tolerance"},
+    "interval": {"k", "n_past", "n_future"},
+    "sft": {"n", "n_ic", "m_proj", "ic_samples", "ly_samples"},
+    "counterexample": {"n_pairs", "past_length", "future_length", "gap_tolerance"},
+    "lemma-suite": set(),
+}
 
 
 def parse_vector(text: str) -> list[float]:
@@ -158,6 +167,9 @@ def load_config(path: str, seed_override: int | None = None,
 
 
 def validate_config(cfg: RunConfig) -> None:
+    unread = sorted(set(cfg.numerics) - NUMERICS_KEYS[cfg.kind])
+    if unread:
+        raise ConfigError(f"kind {cfg.kind} reads no [numerics] key {', '.join(unread)}")
     for key, raw in cfg.numerics.items():
         if "tolerance" in key:
             try:

@@ -15,6 +15,15 @@ base-A codes (`Sft.codes`); sorted codes are the lexicographic order of the
 words, and every array aligned to words follows it.  Index maps between depths
 are code arithmetic plus `searchsorted`.  Codes are int64, so a depth needs
 A^depth < 2^63.
+
+The two cylinder kernels work on stacks of value rows, arrays of shape
+(rows, W_depth) that hold one function of a common depth per row:
+`_transfer_rows` applies a sequence of transfer steps to every row, and
+`_prefix_tree_sup` returns one prefix-tree maximum per row.  A single function
+is the one-row case (`transfer_apply`, `transfer_apply_word`, `lip_theta`,
+`distortion_check`).  `norm_and_ic_bounds` sends its random samples through
+them in stacks of at most `SAMPLE_CHUNK_ELEMENTS` values, which bounds the
+memory of a stack whatever the sample count.
 """
 
 from __future__ import annotations
@@ -37,6 +46,10 @@ from .errors import (
 )
 
 Word = tuple[int, ...]
+
+# most float64 values in one stack of sampled rows of `norm_and_ic_bounds`
+# (256 KiB per array); a sample wider than this is a stack of one row
+SAMPLE_CHUNK_ELEMENTS = 2 ** 15
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +276,8 @@ class CylinderFunction:
             arr = np.asarray(arr, dtype=float).copy()
             if arr.shape != (n_words,):
                 raise IllegalWord("value array does not match the legal words")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("cylinder function values must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "array", arr)
 
@@ -320,9 +335,8 @@ class CylinderFunction:
         linear in the number of cylinders.
         """
         if self._lip is None:
-            object.__setattr__(self, "_lip", _prefix_tree_sup(
-                self.sft, self.array, self.depth, 0, 0,
-                lambda lo_a, hi_a, lo_b, hi_b: hi_a - lo_b))
+            object.__setattr__(self, "_lip",
+                               float(_lip_rows(self.sft, self.array[None], self.depth)[0]))
         return self._lip
 
     def theta_norm(self) -> float:
@@ -348,36 +362,55 @@ class CylinderFunction:
 
 
 def _prefix_tree_sup(sft: Sft, values: np.ndarray, depth: int, first: int,
-                     offset: int, term: Callable[..., np.ndarray]) -> float:
-    """Max over pairs of depth-`depth` words x, y that first differ at an index
-    i >= `first` of term(...) / theta^(i - offset), and 0 if there is none.
+                     offset: int, term: Callable[..., np.ndarray]) -> np.ndarray:
+    """For every row of the stack `values` (rows, W_depth): the max over pairs
+    of depth-`depth` words x, y that first differ at an index i >= `first` of
+    term(...) / theta^(i - offset), and 0 if there is none.
 
     A pair first differing at index i lies in two sibling subtrees of the
-    prefix tree at level i + 1.  `term(lo_a, hi_a, lo_b, hi_b)` gets the value
-    extremes of the subtrees a and b of every ordered sibling pair and returns
-    the largest pair term between them; a bottom-up pass carries the extremes,
-    so the cost is linear in the number of words.
+    prefix tree at level i + 1.  The siblings of a level are the runs of equal
+    `prefix_index(d, d - 1)` in code order, so the ordered sibling pairs sit
+    r = 1..A-1 places apart inside a run.  `term(lo_a, hi_a, lo_b, hi_b)` gets
+    the value extremes of the subtrees a and b of every ordered sibling pair
+    and returns the largest pair term between them.  A bottom-up pass carries
+    the extremes, a parent's being those of its run read at the offsets
+    0..A-1 clamped to the run's end, so the cost is linear in the number of
+    words.
     """
     n_sym = sft.n_symbols
-    off_diagonal = ~np.eye(n_sym, dtype=bool)[:, :, None]
     lo = hi = values
-    best = 0.0
+    best = np.zeros(len(values))
     for d in range(depth, first, -1):
         parents = sft.prefix_index(d, d - 1) if d > 1 else np.zeros(n_sym, dtype=np.int64)
-        child = sft.codes(d) % n_sym
-        lo_s = np.full((n_sym, parents[-1] + 1), np.inf)
-        hi_s = np.full((n_sym, parents[-1] + 1), -np.inf)
-        lo_s[child, parents] = lo
-        hi_s[child, parents] = hi
-        present = np.isfinite(lo_s)
-        a, b, p = np.nonzero(present[:, None] & present[None] & off_diagonal)
-        if len(p):
-            best = max(best, float(np.max(term(lo_s[a, p], hi_s[a, p],
-                                                lo_s[b, p], hi_s[b, p])))
-                       / sft.theta ** (d - 1 - offset))
-        lo = np.min(lo_s, axis=0)
-        hi = np.max(hi_s, axis=0)
+        scale = sft.theta ** (d - 1 - offset)
+        for r in range(1, n_sym):
+            i = np.flatnonzero(parents[r:] == parents[:-r])
+            if len(i):
+                lo_a, hi_a, lo_b, hi_b = lo[:, i], hi[:, i], lo[:, i + r], hi[:, i + r]
+                pair_max = np.maximum(np.max(term(lo_a, hi_a, lo_b, hi_b), axis=1),
+                                      np.max(term(lo_b, hi_b, lo_a, hi_a), axis=1))
+                best = np.maximum(best, pair_max / scale)
+        sizes = np.bincount(parents)  # the sibling runs, one per parent
+        end = np.cumsum(sizes) - 1
+        start = end - sizes + 1
+        lo_p, hi_p = lo[:, start], hi[:, start]
+        for q in range(1, n_sym):
+            child = np.minimum(start + q, end)
+            lo_p = np.minimum(lo_p, lo[:, child])
+            hi_p = np.maximum(hi_p, hi[:, child])
+        lo, hi = lo_p, hi_p
     return best
+
+
+def _lip_rows(sft: Sft, values: np.ndarray, depth: int) -> np.ndarray:
+    """Exact theta-Lipschitz seminorm of every row of a depth-`depth` stack."""
+    return _prefix_tree_sup(sft, values, depth, 0, 0,
+                            lambda lo_a, hi_a, lo_b, hi_b: hi_a - lo_b)
+
+
+def _theta_norm_rows(sft: Sft, values: np.ndarray, depth: int) -> np.ndarray:
+    """theta-norm max(lip_theta, sup) of every row of a depth-`depth` stack."""
+    return np.maximum(_lip_rows(sft, values, depth), np.max(np.abs(values), axis=1))
 
 
 class Weight(CylinderFunction):
@@ -393,22 +426,36 @@ class Weight(CylinderFunction):
 # transfer operator, matrices, projections
 # ---------------------------------------------------------------------------
 
+def _transfer_rows(sft: Sft, weights: Sequence[CylinderFunction], values: np.ndarray,
+                   depth: int) -> tuple[np.ndarray, int]:
+    """Iterated transfer image of every row of the depth-`depth` stack `values`
+    (rows, W_depth); weights[j] acts at step j.  Returns the image stack and
+    its depth.  Each step is the weighted preimage sum of `transfer_apply`,
+    summed over the preimage symbols s in order."""
+    for g in weights:
+        out_depth = max(1, max(depth, g.depth) - 1)
+        full = out_depth + 1
+        ext = sft.extend_index(full)
+        legal = ext >= 0
+        # an illegal preimage (s,) + w reads word 0 with weight 0.  Values are
+        # finite, so its term is a zero, and adding a zero changes no bit of a
+        # partial sum: the sums start at +0.0, so none of them is -0.0
+        y = np.where(legal, ext, 0)
+        src = sft.prefix_index(full, depth)[y]
+        wts = np.where(legal, g.array[sft.prefix_index(full, g.depth)[y]], 0.0)
+        out = np.zeros((len(values), len(sft.codes(out_depth))))
+        for s in range(sft.n_symbols):
+            out += values[:, src[s]] * wts[s]
+        values, depth = out, out_depth
+    return values, depth
+
+
 def transfer_apply(sft: Sft, g: CylinderFunction, f: CylinderFunction) -> CylinderFunction:
     """Weighted preimage sum (P f)(x) = sum over one-step preimages y of
     f(y) g(y); exact, with output constant on cylinders of depth
     max(f.depth, g.depth) - 1 (at least 1)."""
-    out_depth = max(1, max(f.depth, g.depth) - 1)
-    full = out_depth + 1
-    ext = sft.extend_index(full)
-    pf = sft.prefix_index(full, f.depth)
-    pg = sft.prefix_index(full, g.depth)
-    out = np.zeros(len(sft.codes(out_depth)))
-    for s in range(sft.n_symbols):
-        idx = ext[s]
-        legal = idx >= 0
-        y = idx[legal]
-        out[legal] += f.array[pf[y]] * g.array[pg[y]]
-    return CylinderFunction(sft, out_depth, out)
+    out, depth = _transfer_rows(sft, [g], f.array[None], f.depth)
+    return CylinderFunction(sft, depth, out[0])
 
 
 def transfer_apply_word(sft: Sft, weights: Sequence[CylinderFunction],
@@ -416,10 +463,8 @@ def transfer_apply_word(sft: Sft, weights: Sequence[CylinderFunction],
     """n-step iterated transfer image; weights[j] acts at step j."""
     if len(weights) < n:
         raise ValueError(f"{n} steps need {n} weights, got {len(weights)}")
-    out = f
-    for j in range(n):
-        out = transfer_apply(sft, weights[j], out)
-    return out
+    out, depth = _transfer_rows(sft, weights[:n], f.array[None], f.depth)
+    return CylinderFunction(sft, depth, out[0])
 
 
 def cylinder_projection(sft: Sft, f: CylinderFunction, n: int) -> CylinderFunction:
@@ -514,10 +559,10 @@ def distortion_check(sft: Sft, weights: Sequence[CylinderFunction], k_max: int,
         # words vx, vy with |v| = k and x_0 = y_0 first differ at an index
         # i >= k + 1, where d(x, y) = theta^(i - k); the weights are positive,
         # so the subtree extremes give the largest |1 - g(vy)/g(vx)|
-        per_k.append(_prefix_tree_sup(
-            sft, acc, need, k + 1, k,
+        per_k.append(float(_prefix_tree_sup(
+            sft, acc[None], need, k + 1, k,
             lambda lo_a, hi_a, lo_b, hi_b: np.maximum(np.abs(1.0 - hi_b / lo_a),
-                                                      np.abs(1.0 - lo_b / hi_a))))
+                                                      np.abs(1.0 - lo_b / hi_a)))[0]))
     return DistortionReport(per_k=tuple(per_k), feasible_d=float(max(per_k)),
                             proof_bound=proof_bound)
 
@@ -646,26 +691,40 @@ def norm_and_ic_bounds(
     rng = np.random.default_rng(seed)
     sample_depth = m_proj + 2
     n_words = len(sft.codes(sample_depth))
-    samples = [CylinderFunction.constant(sft, 1.0)] + list(family)
-    known = [image1] + images  # the images of samples[:len(known)]
-    for _ in range(n_samples):
-        samples.append(CylinderFunction(sft, sample_depth,
-                                        rng.uniform(-1.0, 1.0, size=n_words)))
+    chunk = max(1, SAMPLE_CHUNK_ELEMENTS // n_words)
+
+    def stacks():
+        # (rows, depth, theta-norms, known image): the constant 1 and the
+        # family one row each, then the samples, drawn chunk by chunk from
+        # one stream
+        for f, image in zip([CylinderFunction.constant(sft, 1.0)] + family,
+                            [image1] + images):
+            yield f.array[None], f.depth, np.array([f.theta_norm()]), image
+        for start in range(0, n_samples, chunk):
+            rows = rng.uniform(-1.0, 1.0, size=(min(chunk, n_samples - start), n_words))
+            yield rows, sample_depth, _theta_norm_rows(sft, rows, sample_depth), None
+
+    steps = weights[:n]
     op_est = 0.0
     ic_upper = 0.0
-    for i, f in enumerate(samples):
-        norm = f.theta_norm()
-        if norm <= 0:
+    for values, depth, norms, known in stacks():
+        values, norms = values[norms > 0], norms[norms > 0]
+        if not len(values):
             continue
-        if i < len(known) and norm == 1.0:
-            image = known[i]  # f * (1.0 / norm) is f bit for bit
+        if known is not None and norms[0] == 1.0:
+            image = known.array[None], known.depth  # f * (1.0 / norm) is f bit for bit
         else:
-            f = f * (1.0 / norm)
-            image = transfer_apply_word(sft, weights, f, n)
-        op_est = max(op_est, image.theta_norm())
-        resid = f - cylinder_projection(sft, f, m_proj)
-        ic_upper = max(ic_upper,
-                       transfer_apply_word(sft, weights, resid, n).theta_norm())
+            values = values * (1.0 / norms)[:, None]
+            image = _transfer_rows(sft, steps, values, depth)
+        op_est = max(op_est, float(np.max(_theta_norm_rows(sft, *image))))
+        # f minus its projection onto depth m_proj (`cylinder_projection`)
+        proj = values
+        if depth > m_proj:
+            proj = values[:, sft.representative_index(m_proj, depth)
+                          [sft.prefix_index(depth, m_proj)]]
+        resid = values - proj
+        ic_upper = max(ic_upper, float(np.max(
+            _theta_norm_rows(sft, *_transfer_rows(sft, steps, resid, depth)))))
 
     dmin = min((a - b).theta_norm() for a, b in itertools.combinations(images, 2))
     return NormSandwich(

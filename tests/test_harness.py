@@ -1,4 +1,7 @@
+import importlib
+import itertools
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -489,10 +492,15 @@ TWO_MATRIX_CFG = COCYCLE_CFG.replace("[[2, 0], [0, 0.5]]",
     (["sweep", "--grid", "=1,2"], INTERVAL_CFG),
     (["sweep", "--grid", "numerics.=3"], INTERVAL_CFG),
     (["sweep", "--grid", ".k=3"], INTERVAL_CFG),
+    # [numerics] keys that the kind never reads
+    (["sweep", "--grid", "kk=1,2"], INTERVAL_CFG),
+    (["run"], SFT_CFG + "k = 8\n"),
+    (["run"], COUNTER_CFG + "n_past = 10\n"),
 ], ids=["transition-row-sum", "transition-negative", "n", "n_past", "k", "n_ic",
         "m_proj", "ly_samples", "n_pairs", "sweep-k", "cocycle-n_past-1",
         "sweep-interval-n_past-1", "sweep-repeated-key", "sweep-aliased-key",
-        "sweep-empty-key", "sweep-empty-name", "sweep-empty-section"])
+        "sweep-empty-key", "sweep-empty-name", "sweep-empty-section",
+        "sweep-unread-key", "sft-unread-k", "counterexample-unread-n_past"])
 def test_cli_out_of_range_config_is_config_error(tmp_path, capsys, argv, text):
     out_path = tmp_path / "rec.ndjson"
     assert main([*argv, "--config", write_cfg(tmp_path, text), "--out", str(out_path)]) == 2
@@ -506,3 +514,58 @@ def test_markov_rows_within_tolerance_are_normalised(tmp_path):
             + "\n[driving]\nlaw = markov\ntransition = [[0.9, 0.1], [0.2, 0.8000000005]]\n")
     driving = build_driving(load_config(write_cfg(tmp_path, text)), 2)
     assert np.allclose(np.sum(driving.transition, axis=1), 1.0, rtol=0, atol=1e-15)
+
+
+# digests of the benchmark configs (seed 0) and their sweep points, and of
+# the module configs above, from before unread [numerics] keys were rejected
+KNOWN_CONFIG_DIGESTS = {
+    "orbit-markov": "7a9e2d2f01bdca96",
+    "interval-sweep": "d4982c4a4ffaaef7",
+    "interval-sweep[0]": "097b303f7694ec19",
+    "interval-sweep[1]": "935e4a3e2e49d814",
+    "interval-sweep[2]": "d5f6081f5c86d315",
+    "interval-sweep[3]": "c740e1157fe82517",
+    "interval-sweep[4]": "898305d69a0ffda9",
+    "interval-sweep[5]": "b5071f6fd7fdbfd9",
+    "sft-certificates": "a20ab2327d2195b4",
+    "COUNTER_CFG": "52ec22327e1a647f",
+    "INTERVAL_CFG": "53c19ff953216d67",
+    "SFT_CFG": "ea1d3a388671f3bf",
+    "COCYCLE_CFG": "e3d500233a73c53d",
+    "TWO_MATRIX_CFG": "6bd86948a11d72b9",
+}
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parent.parent
+                                    / "perfbench"))
+    return importlib.import_module("workloads")
+
+
+def test_known_configs_stay_valid_with_their_digests(tmp_path, workloads):
+    digests = {}
+    for name, w in workloads.WORKLOADS.items():
+        cfg = load_config(write_cfg(tmp_path, w.config(0), name=f"{name}.cfg"))
+        digests[name] = cfg.digest()
+        if w.grid:
+            grid = runner.parse_grid(list(w.grid))
+            keys = [k for k, _ in grid]
+            for i, combo in enumerate(itertools.product(*[vals for _, vals in grid])):
+                point = runner._apply_point(cfg, dict(zip(keys, combo)), i)
+                digests[f"{name}[{i}]"] = point.digest()
+    for name in ("COUNTER_CFG", "INTERVAL_CFG", "SFT_CFG", "COCYCLE_CFG", "TWO_MATRIX_CFG"):
+        digests[name] = load_config(write_cfg(tmp_path, globals()[name])).digest()
+    assert digests == KNOWN_CONFIG_DIGESTS
+
+
+def test_mistyped_grid_key_on_benchmark_sweep_is_config_error(tmp_path, capsys, workloads):
+    # `kk` is read by no interval run: it used to write two identical records
+    sweep = workloads.WORKLOADS["interval-sweep"]
+    out_path = tmp_path / "rec.ndjson"
+    argv = sweep.argv(write_cfg(tmp_path, sweep.config(0)), str(out_path))
+    assert main(argv + ["--grid", "kk=1,2"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "kk" in err
+    assert not out_path.exists()
+    assert main(argv) == 0

@@ -1,4 +1,5 @@
 import itertools
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from oseledets.errors import (
 from oseledets.grassmann import Subspace
 from oseledets.sft import (
     CylinderFunction,
+    NormSandwich,
     Point,
     Sft,
     Weight,
@@ -183,6 +185,58 @@ def ref_distortion_per_k(sft, weights, k_max, depth):
     return tuple(per_k)
 
 
+def ref_prefix_tree_sup(sft: Sft, values: np.ndarray, depth: int, first: int,
+                        offset: int, term: Callable[..., np.ndarray]) -> float:
+    # the one-function prefix-tree pass the row pass replaced: per level, the
+    # subtree extremes in (symbol, parent) tables padded with +-inf and the
+    # ordered sibling pairs from a 3-D nonzero
+    n_sym = sft.n_symbols
+    off_diagonal = ~np.eye(n_sym, dtype=bool)[:, :, None]
+    lo = hi = values
+    best = 0.0
+    for d in range(depth, first, -1):
+        parents = sft.prefix_index(d, d - 1) if d > 1 else np.zeros(n_sym, dtype=np.int64)
+        child = sft.codes(d) % n_sym
+        lo_s = np.full((n_sym, parents[-1] + 1), np.inf)
+        hi_s = np.full((n_sym, parents[-1] + 1), -np.inf)
+        lo_s[child, parents] = lo
+        hi_s[child, parents] = hi
+        present = np.isfinite(lo_s)
+        a, b, p = np.nonzero(present[:, None] & present[None] & off_diagonal)
+        if len(p):
+            best = max(best, float(np.max(term(lo_s[a, p], hi_s[a, p],
+                                                lo_s[b, p], hi_s[b, p])))
+                       / sft.theta ** (d - 1 - offset))
+        lo = np.min(lo_s, axis=0)
+        hi = np.max(hi_s, axis=0)
+    return best
+
+
+def ref_transfer_apply(sft, g, f):
+    # the one-function transfer step the row transfer replaced: a masked
+    # accumulation over the legal preimages only
+    out_depth = max(1, max(f.depth, g.depth) - 1)
+    full = out_depth + 1
+    ext = sft.extend_index(full)
+    pf = sft.prefix_index(full, f.depth)
+    pg = sft.prefix_index(full, g.depth)
+    out = np.zeros(len(sft.codes(out_depth)))
+    for s in range(sft.n_symbols):
+        idx = ext[s]
+        legal = idx >= 0
+        y = idx[legal]
+        out[legal] += f.array[pf[y]] * g.array[pg[y]]
+    return out
+
+
+def LIP_TERM(lo_a, hi_a, lo_b, hi_b):
+    return hi_a - lo_b
+
+
+def DISTORTION_TERM(lo_a, hi_a, lo_b, hi_b):
+    return np.maximum(np.abs(1.0 - hi_b / lo_a), np.abs(1.0 - lo_b / hi_a))
+
+
 @pytest.mark.parametrize("name", CODE_SHIFTS)
 def test_codes_match_tuple_reference(name):
     sft = CODE_SHIFTS[name]
@@ -226,6 +280,67 @@ def test_lip_theta_matches_pairwise_reference():
                           / sft.theta ** next(i for i in range(depth) if x[i] != y[i])
                           for x, y in itertools.combinations(words, 2)), default=0.0)
             assert f.lip_theta() == oracle
+
+
+def test_prefix_tree_rows_match_one_function_reference():
+    # every shift on 1..3 symbols (sibling groups of uneven size, as in the
+    # golden mean) at depths 1..6: the lip_theta form (first = offset = 0) on
+    # signed rows and the distortion_check forms (first = k + 1, offset = k)
+    # on positive rows, row for row and bit for bit
+    rng = np.random.default_rng(14)
+    shifts = [t for t in _valid_shifts() if len(t) <= 3]
+    assert len(shifts) == 273
+    for t in shifts:
+        sft = Sft(len(t), t, 0.6)
+        for depth in range(1, 7):
+            width = len(sft.codes(depth))
+            signed = rng.uniform(-1.0, 1.0, size=(3, width))
+            positive = rng.uniform(0.1, 1.0, size=(3, width))
+            forms = [(signed, 0, 0, LIP_TERM)] + [
+                (positive, k + 1, k, DISTORTION_TERM) for k in range(1, depth)]
+            for values, first, offset, term in forms:
+                got = sf._prefix_tree_sup(sft, values, depth, first, offset, term)
+                assert got.shape == (3,)
+                assert got.tolist() == [ref_prefix_tree_sup(sft, row, depth, first,
+                                                            offset, term)
+                                        for row in values], (t, depth, first)
+            assert CylinderFunction(sft, depth, signed[0]).lip_theta() == \
+                ref_prefix_tree_sup(sft, signed[0], depth, 0, 0, LIP_TERM)
+
+
+def test_row_transfer_matches_one_function_reference():
+    # every shift on 1..3 symbols, signed values with exact zeros of both
+    # signs: each row of the stack equals the masked one-function step, bit
+    # for bit (zero signs included)
+    rng = np.random.default_rng(15)
+    for t in (t for t in _valid_shifts() if len(t) <= 3):
+        sft = Sft(len(t), t, 0.5)
+        for fdepth, gdepth in ((1, 1), (3, 2), (2, 4), (5, 3)):
+            values = rng.uniform(-1.0, 1.0, size=(4, len(sft.codes(fdepth))))
+            values[rng.random(values.shape) < 0.2] = 0.0
+            values[rng.random(values.shape) < 0.2] = -0.0
+            g = CylinderFunction(sft, gdepth, rng.uniform(-1.0, 1.0, size=len(sft.codes(gdepth))))
+            got, depth = sf._transfer_rows(sft, [g], values, fdepth)
+            assert depth == max(1, max(fdepth, gdepth) - 1)
+            for row, out in zip(values, got):
+                ref = ref_transfer_apply(sft, g, CylinderFunction(sft, fdepth, row))
+                assert out.tobytes() == ref.tobytes(), (t, fdepth, gdepth)
+            one = transfer_apply(sft, g, CylinderFunction(sft, fdepth, values[0]))
+            assert one.array.tobytes() == got[0].tobytes()
+
+
+def test_cylinder_function_rejects_non_finite_values():
+    # the tree pass used to read a NaN cylinder as absent: lip_theta of
+    # [0, nan, 1, 2] on the full 2-shift returned 2.0
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            CylinderFunction(FULL, 2, np.array([0.0, bad, 1.0, 2.0]))
+        with pytest.raises(ValueError, match="finite"):
+            CylinderFunction(FULL, 1, {(0,): 0.0, (1,): bad})
+        with pytest.raises(ValueError, match="finite"):
+            Weight(FULL, 1, np.array([1.0, bad]))
+    with pytest.raises(ValueError, match="finite"):
+        CylinderFunction.constant(FULL, np.inf, 3)
 
 
 def test_antisymmetric_helpers_match_word_loops():
@@ -543,20 +658,92 @@ def test_sandwich_kappa_fit():
 
 def test_sandwich_transfers_each_input_once(monkeypatch):
     # for theta = 1/2 the constant 1 and the certificate family have
-    # theta-norm exactly 1, so the samples loop reuses their images: every
-    # input goes through the n-step transfer once
+    # theta-norm exactly 1, so the sandwich reuses their images: every input
+    # row goes through the n-step row transfer kernel once
     seen = []
+    transfer_rows = sf._transfer_rows
 
-    def counting(sft, weights, f, n):
-        seen.append((f.depth, f.array.tobytes()))
-        return transfer_apply_word(sft, weights, f, n)
+    def counting(sft, weights, values, depth):
+        assert len(weights) == 3
+        seen.extend((depth, row.tobytes()) for row in values)
+        return transfer_rows(sft, weights, values, depth)
 
-    monkeypatch.setattr(sf, "transfer_apply_word", counting)
+    monkeypatch.setattr(sf, "_transfer_rows", counting)
     ws = [stochastic_weight(0.8)] * 8
     norm_and_ic_bounds(FULL, ws, 3, 3, n_samples=7)
     # P^(n) 1, the 5 family images, the 7 sampled images, 13 residual images
     assert len(seen) == 1 + 5 + 7 + 13
     assert len(set(seen)) == len(seen)
+
+
+def ref_norm_and_ic_bounds(sft, weights, n, m_proj, n_samples, seed) -> NormSandwich:
+    # the single-function sandwich: one draw, one normalisation and two n-step
+    # transfers per sample, through the public ops
+    theta = sft.theta
+    one = CylinderFunction.constant(sft, 1.0)
+    image1 = transfer_apply_word(sft, weights, one, n)
+    r_n = image1.sup_norm()
+    wdepth = max(max(w.depth for w in weights[:n]), 2)
+    k_constant = max(2.0, distortion_check(sft, weights, n, wdepth).feasible_d)
+    u = sft.representative(sft.digits(image1.depth)[int(np.argmax(image1.array))])
+    family = []
+    for k in sf._proper_nested_depths(sft, u, image1.depth, 5):
+        match = sft.codes(k + n) % sft.n_symbols ** k == sft.code(u.head(k))
+        family.append(CylinderFunction(sft, k + n,
+                                       np.where(match, theta ** (k + n - 1), 0.0)))
+    images = [transfer_apply_word(sft, weights, f, n) for f in family]
+    rng = np.random.default_rng(seed)
+    n_words = len(sft.codes(m_proj + 2))
+    samples = [one] + family + [
+        CylinderFunction(sft, m_proj + 2, rng.uniform(-1.0, 1.0, size=n_words))
+        for _ in range(n_samples)]
+    known = [image1] + images
+    op_est = ic_upper = 0.0
+    for i, f in enumerate(samples):
+        norm = f.theta_norm()
+        if norm <= 0:
+            continue
+        if i < len(known) and norm == 1.0:
+            image = known[i]
+        else:
+            f = f * (1.0 / norm)
+            image = transfer_apply_word(sft, weights, f, n)
+        op_est = max(op_est, image.theta_norm())
+        resid = f - cylinder_projection(sft, f, m_proj)
+        ic_upper = max(ic_upper, transfer_apply_word(sft, weights, resid, n).theta_norm())
+    dmin = min((a - b).theta_norm() for a, b in itertools.combinations(images, 2))
+    return NormSandwich(r_n=r_n, op_norm_est=op_est, op_norm_upper=(k_constant + 1.0) * r_n,
+                        ic_lower_formula=0.25 * theta ** n * r_n,
+                        ic_lower_certified=dmin / 2.0, min_pairwise_distance=dmin,
+                        ic_upper_sampled=ic_upper, k_constant=k_constant)
+
+
+GOLDEN = Sft.golden_mean(0.6)
+FULL3 = Sft.full(3, 0.4)
+
+
+def _random_weights(sft, seed, count=4):
+    rng = np.random.default_rng(seed)
+    return [Weight(sft, 2, rng.uniform(0.2, 1.0, size=len(sft.codes(2))))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("sft, weights, n, m_proj, n_samples, chunk", [
+    (FULL, [stochastic_weight(0.8), stochastic_weight(0.3)] * 2, 3, 3, 0, 1024),
+    (FULL, [stochastic_weight(0.8), stochastic_weight(0.3)] * 2, 3, 3, 1, 1024),
+    # 19 samples of 4096 values: stacks of 8, 8 and 3 rows
+    (FULL, [stochastic_weight(0.6), stochastic_weight(0.9)], 2, 10, 19, 8),
+    # 2^15 values per sample: every stack holds one row
+    (FULL, [stochastic_weight(0.6), stochastic_weight(0.9)], 2, 13, 3, 1),
+    (GOLDEN, _random_weights(GOLDEN, 1), 3, 4, 40, 1560),
+    # 243 values per sample: stacks of 134, 134 and 32 rows
+    (FULL3, _random_weights(FULL3, 2), 2, 3, 300, 134),
+], ids=["no-samples", "one-sample", "partial-stack", "one-row-stacks", "golden", "full3"])
+def test_sandwich_matches_single_function_reference(sft, weights, n, m_proj, n_samples,
+                                                    chunk):
+    assert sf.SAMPLE_CHUNK_ELEMENTS // len(sft.codes(m_proj + 2)) == chunk
+    rep = norm_and_ic_bounds(sft, weights, n, m_proj, n_samples=n_samples, seed=5)
+    assert rep == ref_norm_and_ic_bounds(sft, weights, n, m_proj, n_samples, seed=5)
 
 
 def test_sandwich_needs_irreducible():
