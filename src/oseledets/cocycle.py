@@ -14,10 +14,9 @@ top space genuinely depends on the past when the generators do not commute.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from math import sqrt
+from math import copysign, isfinite, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -43,11 +42,30 @@ RESOLVABLE_FLOOR = -690.0  # per-step rates below exp underflow are unresolvable
 # otherwise `_qr_pos` redoes the step.
 GS_CANCEL2 = 1e-20
 GS_NORM2_RANGE = (1e-290, 1e290)
+CHUNK = 4096  # uniforms or steps per block where one pass would need n-long temporaries
 
 
 # ---------------------------------------------------------------------------
 # driving and windows
 # ---------------------------------------------------------------------------
+
+def single_closed_class(transition) -> bool:
+    """Whether the zero pattern of a square transition matrix has exactly one
+    closed communicating class, that is, one stationary law.  A state is
+    recurrent when every state it reaches reaches it back, and then the
+    states it reaches are its closed class."""
+    succ = [[j for j, p in enumerate(row) if p > 0] for row in transition]
+    reach = []
+    for i in range(len(succ)):  # the states reachable from i, i included
+        seen, todo = {i}, [i]
+        while todo:
+            new = set(succ[todo.pop()]) - seen
+            seen |= new
+            todo += new
+        reach.append(seen)
+    classes = {frozenset(r) for i, r in enumerate(reach) if all(i in reach[j] for j in r)}
+    return len(classes) == 1
+
 
 @dataclass(frozen=True)
 class DrivingSystem:
@@ -61,21 +79,24 @@ class DrivingSystem:
     seed: int
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        if len(p) != self.alphabet_size:
-            raise ValueError("law size does not match alphabet size")
-        if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError("probabilities must be nonnegative and sum to 1")
         if self.law == "markov":
             t = np.asarray(self.transition, dtype=float)
             if t.shape != (self.alphabet_size, self.alphabet_size):
                 raise ValueError("transition matrix has wrong shape")
             if np.any(t < 0) or np.max(np.abs(t.sum(axis=1) - 1.0)) > 1e-12:
                 raise ValueError("transition matrix must be row stochastic")
-            if np.max(np.abs(p @ t - p)) > 1e-10:
-                raise ValueError("stationary vector is not a fixed left eigenvector")
+            if not single_closed_class(t):
+                raise ValueError("transition matrix has several closed classes, "
+                                 "so its stationary law is not unique")
         elif self.law != "iid":
             raise ValueError(f"unknown law {self.law!r}")
+        p = np.asarray(self.probs, dtype=float)
+        if len(p) != self.alphabet_size:
+            raise ValueError("law size does not match alphabet size")
+        if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
+            raise ValueError("probabilities must be nonnegative and sum to 1")
+        if self.law == "markov" and np.max(np.abs(p @ t - p)) > 1e-10:
+            raise ValueError("stationary vector is not a fixed left eigenvector")
 
     @classmethod
     def iid(cls, probs: Sequence[float], seed: int) -> "DrivingSystem":
@@ -102,14 +123,22 @@ class DrivingSystem:
         """n_past + n_future consecutive symbols of stream `stream`, split at
         coordinate 0.  Each symbol inverts one uniform through the cumulative
         law of its step: `probs`, then the previous symbol's transition row
-        (`probs` under i.i.d.), as a per-step `Generator.choice` would."""
-        rows = self.transition if self.law == "markov" else (self.probs,) * self.alphabet_size
-        cdf = np.cumsum([self.probs, *rows], axis=1)
-        cdf = (cdf / cdf[:, -1:]).tolist()
-        seq, row = np.empty(n_past + n_future, dtype=np.intp), cdf[0]
-        for j, u in enumerate(self.rng(stream).random(len(seq))):
-            seq[j] = s = bisect_right(row, u)
-            row = cdf[1 + s]
+        (`probs` under i.i.d.), as a per-step `Generator.choice` would.  A
+        Markov window inverts each chunk of uniforms through every row at
+        once, then follows the chain through those candidates."""
+        cdf = np.cumsum([self.probs, *(self.transition or ())], axis=1)
+        cdf /= cdf[:, -1:]
+        u = self.rng(stream).random(n_past + n_future)
+        if self.law == "iid":
+            seq = np.searchsorted(cdf[0], u, side="right")
+        else:
+            seq = np.empty(len(u), dtype=np.intp)
+            seq[:1] = np.searchsorted(cdf[0], u[:1], side="right")
+            for lo in range(1, len(u), CHUNK):
+                s = int(seq[lo - 1])
+                cands = zip(*(np.searchsorted(row, u[lo:lo + CHUNK], side="right").tolist()
+                              for row in cdf[1:]))
+                seq[lo:lo + CHUNK] = [s := c[s] for c in cands]
         seq.setflags(write=False)
         return OmegaWindow(seq, n_past)
 
@@ -288,6 +317,19 @@ def _qr_pos(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q * s, r * s[:, None]
 
 
+def _closing_column(m: int, sig: float, *cols) -> tuple[float, float, float]:
+    """The unit column, zero-padded to length 3, that completes the m - 1
+    orthonormal columns `cols` (zero-padded 3-tuples) to an m×m frame of
+    determinant `sig` = ±1."""
+    if m == 1:
+        return (sig, 0.0, 0.0)
+    if m == 2:
+        (x, y, _), = cols
+        return (-sig * y, sig * x, 0.0)
+    (x, y, z), (u, v, w) = cols
+    return (sig * (y * w - z * v), sig * (z * u - x * w), sig * (x * v - y * u))
+
+
 def compose(gen: Generator, window: OmegaWindow, n: int) -> np.ndarray:
     """The n-step product along the window starting at coordinate 0.
 
@@ -323,10 +365,16 @@ def _propagate(mats, symbols, q=None, *, reverse=False, record=()):
     - m > 3, k <= 3: the same Gram-Schmidt in numpy on the rows of Qᵀ, one
       contiguous row per column, with Python-float coefficients;
     - m > 3, k > 3: one `_qr_pos` call.
-    A Gram-Schmidt step with a column that it cancels below 1e-10 of its
+    On m <= 3 a full frame (k = m, taken to be orthonormal) carries only its
+    first m - 1 columns: |R_mm| = |det A_s| / (|R_11| ... |R_{m-1,m-1}|), with
+    one `np.linalg.det` of the generator stack, and the last column is
+    rebuilt from the others and det Q only where a frame is read.  A
+    Gram-Schmidt step with a carried column that it cancels below 1e-10 of its
     length or whose squared norm leaves [1e-290, 1e290] (an exact zero pivot
-    included) is redone by `_qr_pos`, so singular generators keep exact -inf
-    rates.
+    included), or a full frame's step with det A_s = 0 or not finite, is
+    redone by `_qr_pos`, so singular generators keep exact -inf rates.  A
+    near-singular last column of a full frame is not redone: its rate is the
+    closed value.
     """
     if len(symbols) and not 0 <= symbols.min() <= symbols.max() < len(mats):
         raise ValueError("window symbol outside the generator alphabet")
@@ -378,52 +426,96 @@ def _propagate(mats, symbols, q=None, *, reverse=False, record=()):
             rows = y
             if t in record:
                 recorded[t] = frame()
+        q = frame()
     else:
-        def frame():  # the columns as an (m, k) array
+        # A full frame carries its first c = m - 1 columns and closes its last
+        # by the determinant: |R_mm| = |det A_s| / (|R_11| ... |R_cc|).  Its
+        # last column is `last` while the frame is whole (the start frame, or a
+        # step redone by `_qr_pos`), else sig = det Q times the completion of
+        # the others.  Per symbol, g is sign det A_s for a full frame (0 when
+        # det A_s is 0 or not finite: the step is redone), else 1.
+        full = k == m
+        c = k - full
+        dets = np.linalg.det(mats).tolist() if full else [1.0] * len(mats)
+        padded = np.pad(mats, ((0, 0), (0, 3 - m), (0, 3 - m))).reshape(-1, 9).tolist()
+        gens = [[*a, copysign(1.0, d) if d and isfinite(d) else 0.0, abs(d)]
+                for a, d in zip(padded, dets)]
+
+        def whole(qf):  # columns 1 and 2, the last column and sig of a whole frame
+            cols = np.pad(qf.T, ((0, 0), (0, 3 - m))).tolist() + [[0.0] * 3] * 2
+            return (*cols[0], *cols[1], cols[k - 1],
+                    1.0 if not full or np.linalg.det(qf) > 0 else -1.0)
+
+        def frame(e1, e2, last, sig):  # the columns as an (m, k) array
+            cols = [e1, e2][:c]
+            if full:
+                cols.append(last or _closing_column(m, sig, *cols))
             return np.reshape(cols, (k, 3))[:, :m].T
 
-        gens = np.pad(mats, ((0, 0), (0, 3 - m), (0, 3 - m))).reshape(-1, 9).tolist()
-        cols = np.pad(q.T, ((0, 0), (0, 3 - m))).tolist()
+        # the frame lives in fast locals: columns 1 and 2 as p0..p2, q0..q2
+        p0, p1, p2, q0, q1, q2, last, sig = whole(q)
+        put = diag.append
         for t, s in enumerate(symbols.tolist(), 1):
-            a0, a1, a2, a3, a4, a5, a6, a7, a8 = gens[s]
-            new = []
-            for x, y, z in cols:
-                u, v, w = (a0 * x + a1 * y + a2 * z, a3 * x + a4 * y + a5 * z,
-                           a6 * x + a7 * y + a8 * z)
-                ny = u * u + v * v + w * w
-                for p0, p1, p2 in new + new:  # Gram-Schmidt twice
-                    d = p0 * u + p1 * v + p2 * w
-                    u, v, w = u - d * p0, v - d * p1, w - d * p2
+            a0, a1, a2, a3, a4, a5, a6, a7, a8, g, rm = gens[s]
+            if c:  # column 1
+                u, v, w = (a0 * p0 + a1 * p1 + a2 * p2, a3 * p0 + a4 * p1 + a5 * p2,
+                           a6 * p0 + a7 * p1 + a8 * p2)
                 nw = u * u + v * v + w * w
-                if not (cancel * ny < nw and lo < nw < hi):
-                    break
-                nrm = sqrt(nw)
-                diag.append(nrm)
-                new.append((u / nrm, v / nrm, w / nrm))
-            if len(new) < k:  # drop what this step wrote and redo it with numpy
-                del diag[(t - 1) * k:]
-                qn, r = _qr_pos(mats[s] @ frame())
-                new = np.pad(qn.T, ((0, 0), (0, 3 - m))).tolist()
+                if lo < nw < hi:
+                    r1 = sqrt(nw)
+                    u, v, w = u / r1, v / r1, w / r1
+                else:
+                    g = 0.0
+            if c == 2 and g:  # column 2, Gram-Schmidt twice against column 1
+                x, y, z = (a0 * q0 + a1 * q1 + a2 * q2, a3 * q0 + a4 * q1 + a5 * q2,
+                           a6 * q0 + a7 * q1 + a8 * q2)
+                ny = x * x + y * y + z * z
+                d = u * x + v * y + w * z
+                x, y, z = x - d * u, y - d * v, z - d * w
+                d = u * x + v * y + w * z
+                x, y, z = x - d * u, y - d * v, z - d * w
+                nw = x * x + y * y + z * z
+                if cancel * ny < nw and lo < nw < hi:
+                    r2 = sqrt(nw)
+                else:
+                    g = 0.0
+            if g:  # keep the step
+                if c:
+                    p0, p1, p2 = u, v, w
+                    put(r1)
+                    rm /= r1
+                if c == 2:
+                    q0, q1, q2 = x / r2, y / r2, z / r2
+                    put(r2)
+                    rm /= r2
+                if full:
+                    put(rm)
+                    sig *= g
+                    last = None
+            else:  # redo the step with numpy
+                qn, r = _qr_pos(mats[s] @ frame((p0, p1, p2), (q0, q1, q2), last, sig))
                 diag.extend(np.diag(r).tolist())
-            cols = new
+                p0, p1, p2, q0, q1, q2, last, sig = whole(qn)
             if t in record:
-                recorded[t] = frame()
+                recorded[t] = frame((p0, p1, p2), (q0, q1, q2), last, sig)
+        q = frame((p0, p1, p2), (q0, q1, q2), last, sig)
     steps = np.frombuffer(diag).reshape(n, k)
     with np.errstate(divide="ignore"):
         np.log(steps, out=steps)
-    return recorded[n] if n in recorded else frame(), steps, recorded
+    return recorded[n] if n in recorded else q, steps, recorded
 
 
 def _mean_rates(steps: np.ndarray, burn: int = 0) -> np.ndarray:
     """Per-direction mean of the step log rates after the first `burn` steps.
 
     The sum runs in step order (np.sum's pairwise order would change the last
-    bits of every reported rate); no kept steps give zero rates.
+    bits of every reported rate), block by block so that no temporary is as
+    long as `steps`; no kept steps give zero rates.
     """
-    kept = steps[burn:]
-    if not len(kept):
-        return np.zeros(steps.shape[1])
-    return np.cumsum(kept, axis=0)[-1] / len(kept)
+    total = np.zeros(steps.shape[1])
+    for i in range(burn, len(steps), CHUNK):
+        total = np.cumsum(np.vstack([total, steps[i:i + CHUNK]]), axis=0)[-1]
+    return total / max(len(steps) - burn, 1)
 
 
 def _sorted_columns(q: np.ndarray, steps: np.ndarray,

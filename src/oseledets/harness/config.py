@@ -26,7 +26,8 @@ Grammar (UTF-8, parsed with configparser):
     n_past = 200
     ...
 
-Each kind accepts only the [numerics] keys it reads (`NUMERICS_KEYS`).
+Each kind accepts only the [numerics], [system] and [driving] keys it reads
+(`NUMERICS_KEYS`, `SYSTEM_KEYS`, `DRIVING_KEYS`).
 Matrices are bracketed row lists; several matrices are separated by ';'.
 Every tolerance must be positive and the seed must be given explicitly: runs
 never draw entropy from the environment.
@@ -41,6 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..cocycle import DrivingSystem, single_closed_class
 from ..errors import ConfigError
 
 KINDS = ("cocycle", "interval", "sft", "counterexample", "lemma-suite")
@@ -56,6 +58,17 @@ NUMERICS_KEYS = {
     "counterexample": {"n_pairs", "past_length", "future_length", "gap_tolerance"},
     "lemma-suite": set(),
 }
+# the [system] keys a run of each kind reads (interval runs also read map.0,
+# map.1, ... up to the first missing index), and the [driving] keys of every
+# kind that samples symbols
+SYSTEM_KEYS = {
+    "cocycle": {"matrices"},
+    "interval": {"maps"},
+    "sft": {"theta", "amplitudes"},
+    "counterexample": {"a0", "a1"},
+    "lemma-suite": set(),
+}
+DRIVING_KEYS = {"law", "probs", "transition"}
 
 
 def parse_vector(text: str) -> list[float]:
@@ -167,9 +180,17 @@ def load_config(path: str, seed_override: int | None = None,
 
 
 def validate_config(cfg: RunConfig) -> None:
-    unread = sorted(set(cfg.numerics) - NUMERICS_KEYS[cfg.kind])
-    if unread:
-        raise ConfigError(f"kind {cfg.kind} reads no [numerics] key {', '.join(unread)}")
+    system, i = set(SYSTEM_KEYS[cfg.kind]), 0
+    while cfg.kind == "interval" and f"map.{i}" in cfg.system:
+        system.add(f"map.{i}")
+        i += 1
+    for section, keys, read in (
+            ("numerics", cfg.numerics, NUMERICS_KEYS[cfg.kind]),
+            ("system", cfg.system, system),
+            ("driving", cfg.driving, DRIVING_KEYS if cfg.kind != "lemma-suite" else set())):
+        unread = sorted(set(keys) - read)
+        if unread:
+            raise ConfigError(f"kind {cfg.kind} reads no [{section}] key {', '.join(unread)}")
     for key, raw in cfg.numerics.items():
         if "tolerance" in key:
             try:
@@ -205,6 +226,9 @@ def validate_config(cfg: RunConfig) -> None:
                     abs(sum(row) - 1.0) > 1e-9 for row in rows):
                 raise ConfigError("transition entries must be nonnegative "
                                   "and each row must sum to 1")
+            if len(rows) == len(rows[0]) and not single_closed_class(rows):
+                raise ConfigError("the transition matrix has several closed classes, "
+                                  "so its stationary law is not unique")
     if cfg.kind == "counterexample":
         for key in ("a0", "a1"):
             if key not in cfg.system:
@@ -214,8 +238,6 @@ def validate_config(cfg: RunConfig) -> None:
 def build_driving(cfg: RunConfig, n_symbols: int):
     """The configured driving law over the system's `n_symbols` symbols
     (uniform i.i.d. by default); a law of another size is a ConfigError."""
-    from ..cocycle import DrivingSystem
-
     if cfg.driving.get("law", "iid") == "markov":
         if "transition" not in cfg.driving:
             raise ConfigError("markov driving needs a transition matrix")

@@ -1,3 +1,4 @@
+import bisect
 import warnings
 from itertools import accumulate
 
@@ -675,16 +676,64 @@ def test_scalar_kernel_falls_back_on_zero_pivot(monkeypatch, reverse):
 
 
 def test_scalar_kernel_falls_back_on_cancelled_column(monkeypatch):
-    # a conjugated singular generator: Gram-Schmidt cancels the third column
-    # of every step to round-off, so every step is redone by `_qr_pos` and the
-    # frames stay orthonormal
+    # a conjugated singular generator whose determinant rounds to -1.4e-15:
+    # the full frame carries two columns and closes the third by the
+    # determinant, so no column cancels and no step is redone; the third rate
+    # is round-off and the frames stay orthonormal
     s = np.eye(3) + 0.4 * np.random.default_rng(0).normal(size=(3, 3))
     mats = (s @ np.diag([3.0, 1.0, 0.0]) @ np.linalg.inv(s))[None]
     calls = count_qr_pos_calls(monkeypatch)
     q, steps, _ = cc._propagate(mats, np.zeros(30, dtype=int))
-    assert len(calls) == 30
+    assert len(calls) == 0
     assert np.max(np.abs(q.T @ q - np.eye(3))) <= 1e-14
     assert np.all(steps[:, 2] < np.log(1e-10) + steps[:, 0])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_scalar_kernel_full_frame_rows_sum_to_log_det(m, reverse):
+    # a full frame closes its last rate by the determinant, so each step's
+    # rates add up to log|det A_s|: on generic generators, and on block
+    # generators diag(B_s, d_s) with d = 0 for one of them, where the rows
+    # hold -inf exactly where det A_s = 0 (the frames keep e_m invariant, so
+    # `_qr_pos` meets an exact zero pivot)
+    rng = np.random.default_rng(m)
+    generic = rng.normal(size=(3, m, m))
+    blocks = np.zeros((3, m, m))
+    blocks[:, :-1, :-1] = rng.normal(size=(3, m - 1, m - 1))
+    blocks[:, -1, -1] = [1.5, -0.7, 0.0]
+    q_block = np.eye(m)
+    q_block[:-1, :-1] = np.linalg.qr(rng.normal(size=(m - 1, m - 1)))[0]
+    symbols = rng.integers(0, 3, size=60)
+    for mats, q0 in [(generic, np.linalg.qr(rng.normal(size=(m, m)))[0]), (blocks, q_block)]:
+        _, steps, _ = cc._propagate(mats, symbols, q0, reverse=reverse)
+        with np.errstate(divide="ignore"):
+            want = np.log(np.abs(np.linalg.det(mats)))[symbols[::-1] if reverse else symbols]
+        assert np.array_equal(np.isneginf(steps).any(axis=1), np.isneginf(want))
+        finite = np.isfinite(want)
+        assert np.max(np.abs(steps[finite].sum(axis=1) - want[finite])) <= 1e-13
+        assert_matches_reference(mats, symbols, q0, reverse)
+    assert not finite.all()
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_scalar_kernel_redoes_rank_one_steps(monkeypatch, reverse):
+    # a rank-one 3x3 generator: the carried second column cancels on every
+    # step, so every step is redone by `_qr_pos` on the whole frame, and rates
+    # and frames equal the reference loop's bit for bit.  (R factors rebuilt
+    # from the frames, as `assert_matches_reference` checks them, carry
+    # round-off diagonals of either sign on rank-deficient steps.)
+    calls = count_qr_pos_calls(monkeypatch)
+    rng = np.random.default_rng(5)
+    mats = np.outer(rng.normal(size=3), rng.normal(size=3))[None]
+    symbols = np.zeros(30, dtype=int)
+    q0 = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    q, steps, recorded = cc._propagate(mats, symbols, q0, reverse=reverse, record=range(31))
+    assert len(calls) == 30
+    q_ref, steps_ref, rec_ref, _ = reference_propagate(mats, symbols, q0, reverse)
+    assert np.array_equal(steps, steps_ref) and np.array_equal(q, q_ref)
+    assert all(np.array_equal(recorded[t], rec_ref[t]) for t in range(31))
+    assert np.all(steps[:, 1:] < np.log(1e-10) + steps[:, :1])
 
 
 def test_scalar_kernel_orthonormal_on_ill_conditioned_steps():
@@ -758,6 +807,19 @@ def test_narrow_kernel_orthonormal_on_ill_conditioned_steps(monkeypatch, m):
             q = cc._propagate(np.stack([near, turn]), symbols, np.eye(m, k))[0]
             assert np.max(np.abs(q.T @ q - np.eye(k))) <= 1e-15
     assert not calls
+
+
+def test_mean_rates_blocks_keep_the_step_order_sum():
+    # the blocked sum equals the one-pass step-order sum bit for bit, across
+    # block boundaries, -inf rates and burn-ins beyond the steps
+    rng = np.random.default_rng(3)
+    for n in (0, 1, cc.CHUNK - 1, cc.CHUNK, cc.CHUNK + 1, 2 * cc.CHUNK + 100):
+        steps = 10 * rng.normal(size=(n, 3))
+        steps[n // 2:n // 2 + 1, 2] = -np.inf
+        for burn in (0, 1, 100, n, n + 5):
+            kept = steps[burn:]
+            want = np.cumsum(kept, axis=0)[-1] / len(kept) if len(kept) else np.zeros(3)
+            assert np.array_equal(cc._mean_rates(steps, burn), want)
 
 
 def test_scalar_kernel_without_steps():
@@ -1229,6 +1291,56 @@ def test_bad_driving_rejected():
     with pytest.raises(ValueError):
         DrivingSystem(alphabet_size=2, law="markov", probs=(0.9, 0.1),
                       transition=((0.5, 0.5), (0.5, 0.5)), seed=1)
+
+
+@pytest.mark.parametrize("transition", [
+    [[1.0, 0.0], [0.0, 1.0]],
+    [[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    [[0.2, 0.8, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]],
+    [[0.5, 0.25, 0.25], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+])
+def test_markov_with_several_closed_classes_rejected(transition):
+    # several closed communicating classes: several stationary vectors
+    with pytest.raises(ValueError, match="closed classes"):
+        DrivingSystem.markov(transition, seed=1)
+
+
+@pytest.mark.parametrize("transition, probs", [
+    # one closed class {0} and a transient state
+    ([[1.0, 0.0], [0.5, 0.5]], [1.0, 0.0]),
+    # periodic but irreducible
+    ([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5]),
+    # one closed class {0, 1} reached from the transient state 2
+    ([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]], [0.5, 0.5, 0.0]),
+])
+def test_markov_with_one_closed_class_accepted(transition, probs):
+    assert np.allclose(DrivingSystem.markov(transition, seed=1).probs, probs, atol=1e-15)
+
+
+def _bisect_path(drv, length, stream):
+    """Reference sampler: one bisection of one uniform per step through the
+    cumulative law of that step."""
+    rows = drv.transition if drv.law == "markov" else (drv.probs,) * drv.alphabet_size
+    cdf = np.cumsum([drv.probs, *rows], axis=1)
+    cdf = (cdf / cdf[:, -1:]).tolist()
+    path, row = np.empty(length, dtype=np.intp), cdf[0]
+    for j, u in enumerate(drv.rng(stream).random(length)):
+        path[j] = s = bisect.bisect_right(row, u)
+        row = cdf[1 + s]
+    return path
+
+
+@pytest.mark.parametrize("law", ["iid", "markov"])
+def test_sampler_matches_bisect_loop(law):
+    # the vectorised sampler gives the symbols of the per-step bisection loop,
+    # across Markov chunk boundaries too
+    for seed in range(12):
+        drv = (DrivingSystem.iid([0.1, 0.2, 0.3, 0.4], seed=seed) if law == "iid" else
+               DrivingSystem.markov([[0.6, 0.3, 0.1], [0.2, 0.6, 0.2], [0.0, 0.3, 0.7]], seed=seed))
+        for length in (0, 1, 2, cc.CHUNK, cc.CHUNK + 1, 3 * cc.CHUNK + 7):
+            for stream in (0, 5):
+                assert np.array_equal(drv.sample_window(0, length, stream).seq,
+                                      _bisect_path(drv, length, stream))
 
 
 def _choice_path(drv, length, rng):

@@ -508,6 +508,56 @@ def test_cli_out_of_range_config_is_config_error(tmp_path, capsys, argv, text):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["sweep", "--grid", "system.mapz=a,b"], INTERVAL_CFG),
+    (["sweep", "--grid", "driving.lawz=a,b"], INTERVAL_CFG),
+    (["run"], INTERVAL_CFG.replace("maps = doubling", "maps = doubling\nmatrices = [[2]]")),
+    # map.1 without map.0 is never read
+    (["run"], INTERVAL_CFG.replace("maps = doubling", "maps = doubling\nmap.1 = [0, 1, 1, 0]")),
+    (["run"], COCYCLE_CFG.replace("[system]", "[system]\ntheta = 0.5")),
+    (["run"], SFT_CFG.replace("[system]", "[system]\nmaps = doubling")),
+    (["run"], COUNTER_CFG.replace("[system]", "[system]\namplitudes = 0.8")),
+    (["run"], "[run]\nkind = lemma-suite\nseed = 1\n\n[system]\nmatrices = [[2]]\n"),
+    (["run"], "[run]\nkind = lemma-suite\nseed = 1\n\n[driving]\nlaw = iid\n"),
+    (["run"], TWO_MATRIX_CFG + "\n[driving]\nlaw = markov\nrows = [[0.5, 0.5], [0.5, 0.5]]\n"),
+], ids=["sweep-system-mapz", "sweep-driving-lawz", "interval-matrices", "interval-map-gap",
+        "cocycle-theta", "sft-maps", "counterexample-amplitudes", "lemma-system",
+        "lemma-driving", "cocycle-driving-rows"])
+def test_cli_unread_system_and_driving_keys_are_config_errors(tmp_path, capsys, argv, text):
+    out_path = tmp_path / "rec.ndjson"
+    assert main([*argv, "--config", write_cfg(tmp_path, text), "--out", str(out_path)]) == 2
+    assert "reads no [" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_read_system_keys_are_accepted(tmp_path):
+    # every key each kind reads, map.0 and map.1 included
+    text = INTERVAL_CFG.replace("maps = doubling",
+                                "map.0 = [0, 0.5, 2, 0] ; [0.5, 1, 2, -1]\n"
+                                "map.1 = [0, 1, 0.5, 0.25]")
+    text += "\n[driving]\nlaw = iid\nprobs = 0.5, 0.5\ntransition = [[0.5, 0.5], [0.5, 0.5]]\n"
+    cfg = load_config(write_cfg(tmp_path, text))
+    assert set(cfg.system) == {"map.0", "map.1"} and len(runner._build_maps(cfg)) == 2
+    for base in (COCYCLE_CFG, SFT_CFG, COUNTER_CFG):
+        load_config(write_cfg(tmp_path, base))
+
+
+@pytest.mark.parametrize("transition", [
+    "[[1, 0], [0, 1]]",
+    "[[0.5, 0.5, 0], [0, 1, 0], [0, 0, 1]]",
+])
+def test_cli_markov_law_with_several_closed_classes_is_config_error(tmp_path, capsys,
+                                                                    transition):
+    mats = " ; ".join(["[[2, 0], [0, 0.5]]"] * transition.count("], ["))
+    mats += " ; [[3, 0], [0, 0.25]]"
+    text = (COCYCLE_CFG.replace("[[2, 0], [0, 0.5]]", mats)
+            + f"\n[driving]\nlaw = markov\ntransition = {transition}\n")
+    out_path = tmp_path / "rec.ndjson"
+    assert main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out_path)]) == 2
+    assert "closed classes" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_markov_rows_within_tolerance_are_normalised(tmp_path):
     # the second row sums to 1 + 5e-10: accepted, then normalised
     text = (TWO_MATRIX_CFG
