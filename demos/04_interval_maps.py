@@ -15,7 +15,7 @@ from oseledets.interval import (
     RandomIntervalSystem,
     affine_map,
     chi_estimate,
-    chi_exact_iid,
+    chi_exact,
     doubling_map,
     essrad_sandwich_check,
     ly_inequality_check,
@@ -55,7 +55,7 @@ mixed = RandomIntervalSystem(
     (tripling_map(), single_slope_map(0.75)), DrivingSystem.iid([0.5, 0.5], seed=7))
 est = chi_estimate(mixed, n=100_000, samples=8)
 print(f"slopes 3 and 3/4 mixed fairly: chi = {est.chi:.6f} "
-      f"(closed form {chi_exact_iid(mixed):.6f} = 2/3), "
+      f"(closed form {chi_exact(mixed):.6f} = 2/3), "
       f"log-rate {est.kappa_star:.6f}")
 
 print()

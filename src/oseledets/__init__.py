@@ -12,7 +12,6 @@ harness   : configuration, experiment runners, result records, and the CLI
 
 from .grassmann import (
     Subspace,
-    ProjectionPair,
     project_along,
     local_norm,
     conditioned_basis,
@@ -35,7 +34,6 @@ from .cocycle import (
 
 __all__ = [
     "Subspace",
-    "ProjectionPair",
     "project_along",
     "local_norm",
     "conditioned_basis",

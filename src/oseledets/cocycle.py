@@ -31,7 +31,7 @@ from .errors import (
     RestrictedSingular,
     WindowTooShort,
 )
-from .grassmann import DIRECT_SUM_MIN_SV, IDEMPOTENCE_TOL, Subspace, gap
+from .grassmann import Subspace, gap, project_off
 
 GAP_TOLERANCE = 1e-3
 CONVERGENCE_TOLERANCE = 1e-6
@@ -672,21 +672,6 @@ def _start_frame(m: int, width: int, lead: np.ndarray | None = None) -> np.ndarr
     return _qr_pos(g)[0]
 
 
-def _project_off(f: np.ndarray, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """x projected onto V = span(w)^⊥ along span(f), for orthonormal m×c
-    frames f and w: x - f (wᵀf)⁻¹ wᵀx.  DegenerateSum when V and span(f)
-    have concatenated frames with smallest singular value s / sqrt(1 + sqrt(1
-    - s²)) < 1e-10, s = σ_min(wᵀf), or when the result leaves V by > 1e-10."""
-    wf = w.T @ f
-    s = float(np.linalg.svd(wf, compute_uv=False)[-1])
-    if s / sqrt(1.0 + sqrt(max(1.0 - s * s, 0.0))) < DIRECT_SUM_MIN_SV:
-        raise DegenerateSum("sum is not direct (smallest singular value < 1e-10)")
-    y = x - f @ np.linalg.solve(wf, w.T @ x)
-    if np.max(np.abs(w.T @ y)) > IDEMPOTENCE_TOL:
-        raise DegenerateSum("projection leaves span(w)^⊥ by more than 1e-10")
-    return y
-
-
 def oseledets_splitting(
     gen: Generator,
     driving: DrivingSystem | None = None,
@@ -812,7 +797,7 @@ def oseledets_splitting(
             equiv.append(1.0)
 
     # uniqueness values for the report's own blocks
-    g0 = [float(np.linalg.norm(_project_off(q0[:, :c], w0[:, :c], e.frame), 2))
+    g0 = [float(np.linalg.norm(project_off(q0[:, :c], w0[:, :c], e.frame), 2))
           if c < m else 0.0 for c, e in zip(ends, splitting)]
 
     # convergence (Cauchy) gaps against half the past length
@@ -1023,7 +1008,7 @@ def uniqueness_diagnostic(
         if check.shape[1] != m or sv[-1] < 1e-10:
             raise NotComplementary(
                 f"candidate at step {k} fails the direct-sum precondition")
-        out[k] = np.linalg.norm(_project_off(qk[:, :c_i], wk[:, :c_i], cand), 2)
+        out[k] = np.linalg.norm(project_off(qk[:, :c_i], wk[:, :c_i], cand), 2)
         if k < n and collapsed[k]:
             raise NotComplementary(f"candidate collapses under the step at coordinate {k}")
     return out

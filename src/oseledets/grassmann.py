@@ -5,11 +5,17 @@ operations every splitting computation is built from: oblique projections
 (onto a subspace along a complement), the local norm of a subspace relative to
 a reference pair, well-conditioned bases adapted to a chosen ambient norm, and
 the gap metric (sine of the largest principal angle).
+
+Every oblique projection in the package is one call of :func:`project_off`, a
+c×c solve against the c columns that span the kernel: the splitting, the
+uniqueness diagnostic, :func:`local_norm`, the lemma suite and
+:func:`project_along`, which builds the m×m matrix from the identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 from typing import Literal, Sequence
 
 import numpy as np
@@ -87,38 +93,37 @@ class Subspace:
         return float(np.linalg.norm(resid)) <= tol * nv
 
 
-@dataclass(frozen=True)
-class ProjectionPair:
-    """An oblique projection together with its range and kernel subspaces."""
-
-    range: Subspace
-    kernel: Subspace
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _as_readonly(self.matrix))
-        p = self.matrix
-        if np.max(np.abs(p @ p - p)) > IDEMPOTENCE_TOL:
-            raise DegenerateSum("projection matrix is not idempotent to 1e-10")
-        if np.max(np.abs(p @ self.range.frame - self.range.frame)) > IDEMPOTENCE_TOL:
-            raise DegenerateSum("projection does not fix its range frame")
-        if np.max(np.abs(p @ self.kernel.frame)) > IDEMPOTENCE_TOL:
-            raise DegenerateSum("projection does not kill its kernel frame")
+def _complement(s: Subspace) -> np.ndarray:
+    """Orthonormal frame of the orthogonal complement of `s`: the trailing
+    columns of one complete QR of its frame."""
+    return np.linalg.qr(s.frame, mode="complete")[0][:, s.d:]
 
 
-def _min_singular(a: np.ndarray) -> float:
-    return float(np.linalg.svd(a, compute_uv=False)[-1])
+def project_off(f: np.ndarray, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x projected onto V = span(w)^⊥ along span(f), for orthonormal m×c
+    frames f and w: x - f (wᵀf)⁻¹ wᵀx.  DegenerateSum when V and span(f)
+    have concatenated frames with smallest singular value s / sqrt(1 + sqrt(1
+    - s²)) < 1e-10, s = σ_min(wᵀf), or when the result leaves V by > 1e-10."""
+    wf = w.T @ f
+    s = float(np.linalg.svd(wf, compute_uv=False)[-1])
+    if s / sqrt(1.0 + sqrt(max(1.0 - s * s, 0.0))) < DIRECT_SUM_MIN_SV:
+        raise DegenerateSum("sum is not direct (smallest singular value < 1e-10)")
+    y = x - f @ np.linalg.solve(wf, w.T @ x)
+    if np.max(np.abs(w.T @ y)) > IDEMPOTENCE_TOL:
+        raise DegenerateSum("projection leaves span(w)^⊥ by more than 1e-10")
+    return y
 
 
-def project_along(kernel: Subspace, range: Subspace) -> ProjectionPair:
-    """Projection onto `range` along `kernel` (the unique idempotent with
-    the given range and kernel).
+def project_along(kernel: Subspace, range: Subspace) -> np.ndarray:
+    """The m×m projection onto `range` along `kernel` (the unique idempotent
+    with the given range and kernel), built by :func:`project_off` from the
+    identity.
 
     Raises
     ------
     DegenerateSum
-        If the concatenated frames have smallest singular value below 1e-10,
-        i.e. the two subspaces do not span the ambient space as a direct sum.
+        If the two subspaces do not span the ambient space as a direct sum
+        (see :func:`project_off`).
     DimensionMismatch
         If the dimensions do not add up to the ambient dimension.
     """
@@ -128,13 +133,7 @@ def project_along(kernel: Subspace, range: Subspace) -> ProjectionPair:
     if kernel.d + range.d != m:
         raise DimensionMismatch(
             f"kernel.d + range.d = {kernel.d + range.d} != ambient dimension {m}")
-    concat = np.hstack([range.frame, kernel.frame])
-    if _min_singular(concat) < DIRECT_SUM_MIN_SV:
-        raise DegenerateSum("sum is not direct (smallest singular value < 1e-10)")
-    # Any x decomposes as range@c + kernel@d; the projection keeps range@c.
-    coeffs = np.linalg.solve(concat, np.eye(m))
-    matrix = range.frame @ coeffs[: range.d]
-    return ProjectionPair(range=range, kernel=kernel, matrix=matrix)
+    return project_off(kernel.frame, _complement(range), np.eye(m))
 
 
 def local_norm(e: Subspace, e0: Subspace, f0: Subspace) -> float:
@@ -148,11 +147,10 @@ def local_norm(e: Subspace, e0: Subspace, f0: Subspace) -> float:
     m = e.m
     if e0.d + f0.d != m or e.d + f0.d != m:
         raise DimensionMismatch("reference pair does not decompose the ambient space")
-    if _min_singular(np.hstack([e0.frame, f0.frame])) < DIRECT_SUM_MIN_SV:
+    if np.linalg.svd(np.hstack([e0.frame, f0.frame]), compute_uv=False)[-1] < DIRECT_SUM_MIN_SV:
         raise DegenerateSum("e0 + f0 is not a direct sum")
-    proj = project_along(kernel=e, range=f0)  # raises DegenerateSum if e + f0 degenerate
-    restricted = proj.matrix @ e0.frame
-    return float(np.linalg.norm(restricted, 2))
+    # raises DegenerateSum if e + f0 is not direct
+    return float(np.linalg.norm(project_off(e.frame, _complement(f0), e0.frame), 2))
 
 
 def gap(a: Subspace, b: Subspace) -> float:

@@ -39,7 +39,7 @@ def check_projection_idempotence(seed: int) -> tuple[bool, float]:
         m = int(rng.integers(2, 9))
         d = int(rng.integers(1, m))
         v, w = _random_direct_pair(rng, m, d)
-        p = gr.project_along(kernel=w, range=v).matrix
+        p = gr.project_along(kernel=w, range=v)
         worst = max(worst, float(np.max(np.abs(p @ p - p))))
     return worst <= 1e-10, worst
 
@@ -51,7 +51,7 @@ def check_decomposition(seed: int) -> tuple[bool, float]:
         m = int(rng.integers(2, 9))
         d = int(rng.integers(1, m))
         v, w = _random_direct_pair(rng, m, d)
-        p = gr.project_along(kernel=w, range=v).matrix
+        p = gr.project_along(kernel=w, range=v)
         x = rng.standard_normal(m)
         px, qx = p @ x, x - p @ x
         worst = max(worst, float(np.linalg.norm(x - px - qx)))
@@ -87,14 +87,14 @@ def check_projection_continuity(seed: int) -> tuple[bool, float]:
         m = int(rng.integers(3, 8))
         d = int(rng.integers(1, m))
         v, w = _random_direct_pair(rng, m, d)
-        p0 = gr.project_along(kernel=w, range=v).matrix
+        p0 = gr.project_along(kernel=w, range=v)
         base = np.linalg.norm(p0, 2)
         for eps in (1e-4, 1e-5, 1e-6):
             v_eps = _perturb(rng, v, eps)
             moved = gr.gap(v, v_eps)
             if moved == 0.0:
                 continue
-            p1 = gr.project_along(kernel=w, range=v_eps).matrix
+            p1 = gr.project_along(kernel=w, range=v_eps)
             ratio = np.linalg.norm(p1 - p0, 2) / moved
             worst_ratio = max(worst_ratio, float(ratio / max(base, 1.0)))
     return worst_ratio <= 100.0, worst_ratio
@@ -108,7 +108,7 @@ def check_restricted_norm_continuity(seed: int) -> tuple[bool, float]:
         d = int(rng.integers(1, m))
         v, w = _random_direct_pair(rng, m, d)
         e = _random_subspace(rng, m, max(1, d // 2 + 1))
-        p = gr.project_along(kernel=w, range=v).matrix
+        p = gr.project_along(kernel=w, range=v)
         n0 = np.linalg.norm(p @ e.frame, 2)
         for eps in (1e-4, 1e-5, 1e-6):
             e_eps = _perturb(rng, e, eps)

@@ -498,10 +498,11 @@ def chi_estimate(sys: RandomIntervalSystem, n: int, samples: int = 8) -> ChiRepo
                      per_sample=tuple(vals))
 
 
-def chi_exact_iid(sys: RandomIntervalSystem) -> float:
-    """Closed-form expansion index for i.i.d. driving."""
-    if sys.driving.law != "iid":
-        raise ValueError("closed form needs i.i.d. driving")
+def chi_exact(sys: RandomIntervalSystem) -> float:
+    """Closed-form expansion index exp(π·log a), a_s = 1/essinf|T_s'|, with π
+    the driving's `probs`: the i.i.d. law, or the stationary vector of a
+    Markov law (unique, since `DrivingSystem` admits one closed class).  By
+    Birkhoff's theorem this is the limit of :func:`chi_estimate`."""
     log_a = np.array([-np.log(t.essinf_derivative()) for t in sys.maps])
     return float(np.exp(np.dot(sys.driving.probs, log_a)))
 
@@ -672,8 +673,6 @@ def random_acim(
     n_past: int = 200,
     *,
     n_future: int = 50,
-    chi_samples: int = 8,
-    chi_n: int = 20_000,
 ) -> AcimReport:
     """Random invariant densities from the k-bin transfer cocycle.
 
@@ -685,15 +684,13 @@ def random_acim(
     checked.  The reverse pass starts from the constant vector, which every
     transposed Ulam matrix fixes and which pairs positively with every
     density, so the top rate carries no start-up transient and no density
-    is missed, wherever it lives.  The expansion-index estimate feeds the
-    splitting as the threshold below which blocks are not exceptional.
+    is missed, wherever it lives.  The closed-form expansion index
+    (:func:`chi_exact`) feeds the splitting as the threshold below which
+    blocks are not exceptional.
 
     Raises ExpansionTooWeak when the system is not expanding on average.
     """
-    if sys.driving.law == "iid":
-        chi = chi_exact_iid(sys)
-    else:
-        chi = chi_estimate(sys, n=chi_n, samples=chi_samples).chi
+    chi = chi_exact(sys)
     if not chi < 1.0:
         raise ExpansionTooWeak(f"chi = {chi} >= 1: not expanding on average")
     kappa = float(np.log(chi))

@@ -32,8 +32,8 @@ from oseledets.errors import (
     RestrictedSingular,
     WindowTooShort,
 )
-from oseledets.grassmann import Subspace, gap, project_along
-from oseledets.interval import RandomIntervalSystem, affine_map, chi_exact_iid, density_generator
+from oseledets.grassmann import Subspace, gap, project_off
+from oseledets.interval import RandomIntervalSystem, affine_map, chi_exact, density_generator
 
 LOG2 = np.log(2.0)
 
@@ -621,13 +621,20 @@ def test_scalar_kernel_matches_numpy_loop(m, k, reverse, seed):
     # random cocycles on m <= 3 (the Python-float path) and on frames of at
     # most 3 columns for m > 3 (the numpy Gram-Schmidt path) against the loop:
     # rotations times scalings in [0.5, 2], so each step has condition number
-    # at most 4 and both loops agree to round-off
+    # at most 4 and one step agrees with the loop to round-off.  Each step
+    # starts from the loop's own frame: two 40-step trajectories drift apart
+    # by up to 8e-13, past the 1e-13 bound, while single steps agree to 1.6e-15
     rng = np.random.default_rng(seed)
     mats = np.stack([np.linalg.qr(rng.normal(size=(m, m)))[0] * rng.uniform(0.5, 2.0, size=m)
                      for _ in range(3)])
     symbols = rng.integers(0, 3, size=40)
     q0 = np.linalg.qr(rng.normal(size=(m, m)))[0][:, :k]
-    assert_matches_reference(mats, symbols, q0, reverse)
+    _, steps_ref, rec_ref, _ = reference_propagate(mats, symbols, q0, reverse)
+    order = symbols[::-1] if reverse else symbols
+    for t in range(1, len(symbols) + 1):
+        q, steps, _ = cc._propagate(mats, order[t - 1:t], rec_ref[t - 1], reverse=reverse)
+        assert np.max(np.abs(steps[0] - steps_ref[t - 1])) <= 1e-13
+        assert np.max(np.abs(q - rec_ref[t])) <= 1e-13
 
 
 @pytest.mark.parametrize("diags", [
@@ -997,11 +1004,26 @@ def test_uniqueness_diagnostic_tilted_candidate_decay_rate():
 
 # -- the m×m assembly, kept as the exact reference ----------------------------
 
+def mm_project_along(kernel, range):
+    """The m×m projection onto `range` along `kernel` by one solve against the
+    concatenated frames [range, kernel], with the checks of `project_off`:
+    DegenerateSum when those frames have smallest singular value below 1e-10,
+    or when the result leaves `range` by more than 1e-10."""
+    concat = np.hstack([range.frame, kernel.frame])
+    if np.linalg.svd(concat, compute_uv=False)[-1] < 1e-10:
+        raise DegenerateSum("sum is not direct (smallest singular value < 1e-10)")
+    p = range.frame @ np.linalg.solve(concat, np.eye(range.m))[:range.d]
+    off = np.linalg.qr(range.frame, mode="complete")[0][:, range.d:]
+    if np.max(np.abs(off.T @ p)) > 1e-10:
+        raise DegenerateSum("projection leaves its range by more than 1e-10")
+    return p
+
+
 def mm_splitting(gen, window, n_past, n_future, blocks=None, kappa_estimate=None):
     """The filtration frames, uniqueness values and direct-sum minimum of
     `oseledets_splitting` by the m×m route: `slow`, the tail of one complete
     QR of the fast columns W_{:c_p}, V_{i+1} = span(W_{c_i:c_p}, slow),
-    `project_along` per block and one SVD of [E_1 ... E_p, slow].  The passes
+    `mm_project_along` per block and one SVD of [E_1 ... E_p, slow].  The passes
     and checks are those of `oseledets_splitting` (equivariance left out), so
     a window fails here with the exception the m×m route raised."""
     m, mats, gap_tolerance = gen.dim, gen.stack, cc.GAP_TOLERANCE
@@ -1044,8 +1066,8 @@ def mm_splitting(gen, window, n_past, n_future, blocks=None, kappa_estimate=None
     g0 = []
     for c_i, e in zip(ends, splitting):
         if c_i < m:
-            proj = project_along(kernel=Subspace(q0[:, :c_i]), range=Subspace(slow_from(c_i)))
-            g0.append(float(np.linalg.norm(proj.matrix @ e.frame, 2)))
+            proj = mm_project_along(Subspace(q0[:, :c_i]), Subspace(slow_from(c_i)))
+            g0.append(float(np.linalg.norm(proj @ e.frame, 2)))
         else:
             g0.append(0.0)
     u_half, _ = cc._sorted_columns(rev[t_half], steps[:t_half], cc._default_burn(t_half))
@@ -1059,7 +1081,7 @@ def mm_splitting(gen, window, n_past, n_future, blocks=None, kappa_estimate=None
 
 
 def mm_uniqueness_series(gen, window, candidate, report, i, n):
-    """`uniqueness_diagnostic` with an m×m `project_along` at every step."""
+    """`uniqueness_diagnostic` with an m×m `mm_project_along` at every step."""
     c_i = report.block_ends[i - 1]
     c_prev = 0 if i == 1 else report.block_ends[i - 2]
     m, mats = gen.dim, gen.stack
@@ -1081,8 +1103,8 @@ def mm_uniqueness_series(gen, window, candidate, report, i, n):
         check = np.hstack([qk[:, :c_prev], cands[k], wk[:, c_i:]])
         if check.shape[1] != m or np.linalg.svd(check, compute_uv=False)[-1] < 1e-10:
             raise NotComplementary(f"candidate at step {k} fails the direct-sum precondition")
-        proj = project_along(kernel=Subspace(qk[:, :c_i]), range=Subspace(wk[:, c_i:]))
-        out[k] = np.linalg.norm(proj.matrix @ cands[k], 2)
+        proj = mm_project_along(Subspace(qk[:, :c_i]), Subspace(wk[:, c_i:]))
+        out[k] = np.linalg.norm(proj @ cands[k], 2)
         if k < n and collapsed[k]:
             raise NotComplementary(f"candidate collapses under the step at coordinate {k}")
     return out
@@ -1095,18 +1117,13 @@ def outcome(call):
         return exc
 
 
-def failed_alike(got, want):
-    """True when both routes failed with one exception class.  The m×m route
-    also rejects a direct sum on rounding alone: `ProjectionPair` bounds
-    P² - P, P·range - range and P·kernel absolutely, and their rounding grows
-    with ||P|| (a pair with σ_min 2.4e-4 and ||P|| = 2.9e3 leaves P² - P at
-    2.9e-10).  The c×c route bounds Wᵀy instead and goes on to the next
-    check; such windows return False."""
-    if isinstance(want, DegenerateSum) and "not direct" not in str(want):
-        assert not isinstance(got, DegenerateSum)
-        return False
+def assert_failed_alike(got, want):
+    """Both routes failed with one exception class.  They share their checks
+    (σ_min of the direct sum and the result's distance from the range, both
+    against 1e-10), so no window is excused.  No check bounds P² - P
+    absolutely: that rounding grows like eps·||P||² and refused
+    well-conditioned sums."""
     assert type(got) is type(want)
-    return True
 
 
 def assert_matches_mm_route(gen, window, n_past, n_future, blocks=None, kappa_estimate=None,
@@ -1118,7 +1135,8 @@ def assert_matches_mm_route(gen, window, n_past, n_future, blocks=None, kappa_es
         kappa_estimate=kappa_estimate))
     want = outcome(lambda: mm_splitting(gen, window, n_past, n_future, blocks, kappa_estimate))
     if isinstance(got, Exception) or isinstance(want, Exception):
-        return got if failed_alike(got, want) else None
+        assert_failed_alike(got, want)
+        return got
     filtration, g0, min_sv = want
     assert len(got.filtration) == len(filtration)
     assert all(np.array_equal(v.frame, f) for v, f in zip(got.filtration, filtration))
@@ -1131,7 +1149,7 @@ def assert_matches_mm_route(gen, window, n_past, n_future, blocks=None, kappa_es
             series = outcome(lambda: uniqueness_diagnostic(gen, window, cand, got, 1, g_len))
             ref = outcome(lambda: mm_uniqueness_series(gen, window, cand, got, 1, g_len))
             if isinstance(series, Exception) or isinstance(ref, Exception):
-                assert failed_alike(series, ref)
+                assert_failed_alike(series, ref)
             else:
                 assert np.max(np.abs(series - ref)) <= 1e-12
     return got
@@ -1184,7 +1202,7 @@ def test_leaky_full_width_fails_like_mm_route():
                         [1 / 2, 2 / 3, 3, -1], [2 / 3, 5 / 6, 3, -1.5], [5 / 6, 1, 3, -2]])
     drv = DrivingSystem.iid([1.0], seed=0)
     sys = RandomIntervalSystem((leaky,), drv)
-    window, kappa = drv.sample_window(200, 50), float(np.log(chi_exact_iid(sys)))
+    window, kappa = drv.sample_window(200, 50), float(np.log(chi_exact(sys)))
     assert isinstance(assert_matches_mm_route(density_generator(sys, 48), window, 200, 50,
                                               kappa_estimate=kappa), DegenerateSum)
     assert isinstance(assert_matches_mm_route(density_generator(sys, 24), window, 200, 50,
@@ -1192,29 +1210,26 @@ def test_leaky_full_width_fails_like_mm_route():
 
 
 def mm_projection(f, w):
-    """The m×m projection onto span(w)^⊥ along span(f) by `project_along`."""
+    """The m×m projection onto span(w)^⊥ along span(f) by `mm_project_along`."""
     slow = np.linalg.qr(w, mode="complete")[0][:, w.shape[1]:]
-    return project_along(kernel=Subspace(f), range=Subspace(slow)).matrix
+    return mm_project_along(Subspace(f), Subspace(slow))
 
 
 @pytest.mark.parametrize("m", range(2, 9))
 def test_project_off_matches_project_along(m):
+    # the two routes round differently by up to 2.3·eps·||P||₂²·max|x| over
+    # 11 200 random pairs at m = 2..8 (an error linear in ||P|| reached
+    # 5.7e3·eps·||P||₂), so the bound is quadratic in ||P||
     rng = np.random.default_rng(m)
-    compared = 0
     for c in range(1, m):
         for _ in range(5):
             f = np.linalg.qr(rng.normal(size=(m, c)))[0]
             w = np.linalg.qr(rng.normal(size=(m, c)))[0]
             x = rng.normal(size=(m, 2))
-            y = cc._project_off(f, w, x)
-            p = outcome(lambda: mm_projection(f, w))
-            if isinstance(p, DegenerateSum):  # a rounding rejection, see `failed_alike`
-                assert "not direct" not in str(p)
-                continue
-            tol = 1e-12 * max(1.0, np.linalg.norm(p, 2))
+            y = project_off(f, w, x)
+            p = mm_projection(f, w)
+            tol = 1e-14 * max(1.0, np.linalg.norm(p, 2)) ** 2 * np.max(np.abs(x))
             assert np.max(np.abs(y - p @ x)) <= tol
-            compared += 1
-    assert compared >= 0.9 * 5 * (m - 1)
 
 
 @pytest.mark.parametrize("sigma,not_direct", [(0.5e-10, True), (2e-10, False)])
@@ -1230,7 +1245,7 @@ def test_project_off_degenerate_threshold_matches_project_along(sigma, not_direc
     f = rot @ np.column_stack([s * e[0] + np.sqrt(1.0 - s * s) * e[2], e[1]])
     w = rot @ e[:, :2]
     x = np.ones((5, 1))
-    for exc in (outcome(lambda: cc._project_off(f, w, x)), outcome(lambda: mm_projection(f, w))):
+    for exc in (outcome(lambda: project_off(f, w, x)), outcome(lambda: mm_projection(f, w))):
         assert isinstance(exc, DegenerateSum)
         assert ("not direct" in str(exc)) is not_direct
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oseledets.errors import ConditioningFailure, DegenerateSum, DimensionMismatch
@@ -48,14 +48,14 @@ def test_from_spanning_needs_columns_of_one_matrix():
 def test_projection_coordinate_example():
     p = project_along(kernel=Subspace.span([1.0, 0.0]),
                       range=Subspace.span([0.0, 1.0]))
-    assert np.allclose(p.matrix @ np.array([3.0, 4.0]), [0.0, 4.0], atol=1e-14)
+    assert np.allclose(p @ np.array([3.0, 4.0]), [0.0, 4.0], atol=1e-14)
 
 
 def test_projection_oblique_example():
     # (2,5) = 2*(1,1) + 3*(0,1): the kernel component is dropped
     p = project_along(kernel=Subspace.span([1.0, 1.0]),
                       range=Subspace.span([0.0, 1.0]))
-    assert np.allclose(p.matrix @ np.array([2.0, 5.0]), [0.0, 3.0], atol=1e-14)
+    assert np.allclose(p @ np.array([2.0, 5.0]), [0.0, 3.0], atol=1e-14)
 
 
 def test_projection_idempotent_randomized():
@@ -67,7 +67,7 @@ def test_projection_idempotent_randomized():
         w = random_subspace(rng, m, m - d)
         if np.linalg.svd(np.hstack([v.frame, w.frame]), compute_uv=False)[-1] < 0.05:
             continue
-        p = project_along(kernel=w, range=v).matrix
+        p = project_along(kernel=w, range=v)
         assert np.max(np.abs(p @ p - p)) <= IDEMPOTENCE_TOL
 
 
@@ -80,7 +80,7 @@ def test_projection_decomposition_randomized():
         w = random_subspace(rng, m, m - d)
         if np.linalg.svd(np.hstack([v.frame, w.frame]), compute_uv=False)[-1] < 0.05:
             continue
-        p = project_along(kernel=w, range=v).matrix
+        p = project_along(kernel=w, range=v)
         x = rng.standard_normal(m)
         px = p @ x
         qx = x - px
@@ -155,7 +155,24 @@ def test_gap_dimension_mismatch():
         gap(Subspace.span([1.0, 0.0]), Subspace.span([1.0, 0.0], [0.0, 1.0]))
 
 
+def assert_idempotent(v, w):
+    # the rounding of P² - P grows like eps·||P||² (Kato, ch. I): over the
+    # 10 001 seeds of the property test it stays below 1.4·eps·max(1, ||P||₂)²
+    p = project_along(kernel=w, range=v)
+    assert np.max(np.abs(p @ p - p)) <= 1e-13 * max(1.0, np.linalg.norm(p, 2)) ** 2
+
+
 @given(st.integers(min_value=0, max_value=10_000))
+# ||P||₂ is 1.5e3 to 2.2e4 on these seeds; an absolute 1e-10 bound on P² - P
+# refused them as degenerate
+@example(1162)
+@example(1685)
+@example(2121)
+@example(2725)
+@example(2815)
+@example(5353)
+@example(6507)
+@example(9497)
 @settings(max_examples=25, deadline=None)
 def test_projection_idempotent_property(seed):
     rng = np.random.default_rng(seed)
@@ -166,8 +183,21 @@ def test_projection_idempotent_property(seed):
     concat = np.hstack([v.frame, w.frame])
     if np.linalg.svd(concat, compute_uv=False)[-1] < 1e-6:
         return
-    p = project_along(kernel=w, range=v).matrix
-    assert np.max(np.abs(p @ p - p)) <= IDEMPOTENCE_TOL
+    assert_idempotent(v, w)
+
+
+def test_projection_accepts_random_pair_with_small_angle():
+    # the fifth pair at c = 6 of the m = 8 frame pairs drawn with seed 8:
+    # σ_min(wᵀf) = 1.1e-4, ||P||₂ = 9.4e3
+    rng = np.random.default_rng(8)
+    for c in range(1, 7):
+        for _ in range(5):
+            f = np.linalg.qr(rng.normal(size=(8, c)))[0]
+            w = np.linalg.qr(rng.normal(size=(8, c)))[0]
+            rng.normal(size=(8, 2))
+    assert np.linalg.svd(w.T @ f, compute_uv=False)[-1] == pytest.approx(1.06e-4, rel=1e-2)
+    slow = np.linalg.qr(w, mode="complete")[0][:, c:]
+    assert_idempotent(Subspace(slow), Subspace(f))
 
 
 def test_conditioned_basis_full_space_euclidean():
@@ -209,7 +239,7 @@ def test_projection_continuity_ratio_bounded():
     rng = np.random.default_rng(8)
     v = random_subspace(rng, 5, 2)
     w = random_subspace(rng, 5, 3)
-    p0 = project_along(kernel=w, range=v).matrix
+    p0 = project_along(kernel=w, range=v)
     ratios = []
     for eps in (1e-4, 1e-5, 1e-6):
         noise = rng.standard_normal(v.frame.shape)
@@ -217,7 +247,7 @@ def test_projection_continuity_ratio_bounded():
         noise /= np.linalg.norm(noise, 2)
         v_eps = Subspace.from_spanning(v.frame + eps * noise)
         moved = gap(v, v_eps)
-        p1 = project_along(kernel=w, range=v_eps).matrix
+        p1 = project_along(kernel=w, range=v_eps)
         ratios.append(np.linalg.norm(p1 - p0, 2) / moved)
     assert max(ratios) <= 100.0 * max(np.linalg.norm(p0, 2), 1.0)
     assert max(ratios) / min(ratios) <= 10.0

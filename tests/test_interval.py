@@ -17,7 +17,7 @@ from oseledets.interval import (
     affine_map,
     branch_partition,
     chi_estimate,
-    chi_exact_iid,
+    chi_exact,
     compose_maps,
     compose_word,
     conditional_expectation,
@@ -191,7 +191,7 @@ def test_ulam_quadrature_failure_on_pathological_branch():
 def test_chi_single_slope():
     drv = cc.DrivingSystem.iid([1.0], seed=1)
     sys = RandomIntervalSystem((tripling_map(),), drv)
-    assert chi_exact_iid(sys) == pytest.approx(1 / 3)
+    assert chi_exact(sys) == pytest.approx(1 / 3)
     rep = chi_estimate(sys, n=100, samples=2)
     assert rep.chi == pytest.approx(1 / 3, abs=1e-12)
 
@@ -199,10 +199,23 @@ def test_chi_single_slope():
 def test_chi_mixed_slopes_closed_form():
     drv = cc.DrivingSystem.iid([0.5, 0.5], seed=7)
     sys = RandomIntervalSystem((tripling_map(), single_slope_map(0.75)), drv)
-    assert chi_exact_iid(sys) == pytest.approx(2 / 3)
+    assert chi_exact(sys) == pytest.approx(2 / 3)
     rep = chi_estimate(sys, n=20_000, samples=8)
     assert rep.chi == pytest.approx(2 / 3, abs=5e-3)
     assert rep.kappa_star == pytest.approx(np.log(2 / 3), abs=1e-2)
+
+
+def test_chi_exact_markov_is_stationary_average():
+    # (tripling, slope 3/4) under the transition [[0.3, 0.7], [0.6, 0.4]]:
+    # π = (6/13, 7/13), so chi = 3^(-6/13) (3/4)^(-7/13)
+    drv = cc.DrivingSystem.markov([[0.3, 0.7], [0.6, 0.4]], seed=1)
+    sys = RandomIntervalSystem((tripling_map(), single_slope_map(0.75)), drv)
+    chi = chi_exact(sys)
+    assert chi == pytest.approx(3 ** (-6 / 13) * 0.75 ** (-7 / 13), rel=1e-14)
+    rep = chi_estimate(sys, n=20_000, samples=8)
+    assert rep.chi == pytest.approx(chi, abs=5e-3)
+    acim = random_acim(sys, drv.sample_window(200, 50), k=16)
+    assert acim.chi == chi and acim.kappa_star == np.log(chi)
 
 
 def test_chi_flags_weak_expansion():
@@ -385,8 +398,8 @@ def test_acim_matches_piecewise_affine_markov_closed_form(k, law):
                cc.DrivingSystem.markov([[0.7, 0.3], [0.4, 0.6]], seed=seed))
         sys = RandomIntervalSystem((T1, QUADRUPLING), drv)
         window = drv.sample_window(200, 50)
-        # the estimated expansion index only places the threshold, far below 0
-        rep = random_acim(sys, window, k=k, chi_n=2000, chi_samples=2)
+        # the expansion index only places the threshold, far below 0
+        rep = random_acim(sys, window, k=k)
         assert rep.d1 == 1 and rep.report.p == 1
         exact = markov_system_density(window, k)
         assert np.max(np.abs(rep.densities[0] - exact)) <= 1e-12, (seed, law, k)
