@@ -103,14 +103,16 @@ def project_off(f: np.ndarray, w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """x projected onto V = span(w)^⊥ along span(f), for orthonormal m×c
     frames f and w: x - f (wᵀf)⁻¹ wᵀx.  DegenerateSum when V and span(f)
     have concatenated frames with smallest singular value s / sqrt(1 + sqrt(1
-    - s²)) < 1e-10, s = σ_min(wᵀf), or when the result leaves V by > 1e-10."""
+    - s²)) < 1e-10, s = σ_min(wᵀf), or when the result leaves V by more than
+    1e-10 times the largest column 2-norm of x, so the verdict does not depend
+    on the scale of x."""
     wf = w.T @ f
     s = float(np.linalg.svd(wf, compute_uv=False)[-1])
     if s / sqrt(1.0 + sqrt(max(1.0 - s * s, 0.0))) < DIRECT_SUM_MIN_SV:
         raise DegenerateSum("sum is not direct (smallest singular value < 1e-10)")
     y = x - f @ np.linalg.solve(wf, w.T @ x)
-    if np.max(np.abs(w.T @ y)) > IDEMPOTENCE_TOL:
-        raise DegenerateSum("projection leaves span(w)^⊥ by more than 1e-10")
+    if np.max(np.abs(w.T @ y)) > IDEMPOTENCE_TOL * np.max(np.linalg.norm(x, axis=0)):
+        raise DegenerateSum("projection leaves span(w)^⊥ by more than 1e-10 |x|")
     return y
 
 

@@ -12,9 +12,12 @@ closed form.
 
 The legal words of each depth are stored once, as the sorted array of their
 base-A codes (`Sft.codes`); sorted codes are the lexicographic order of the
-words, and every array aligned to words follows it.  Index maps between depths
-are code arithmetic plus `searchsorted`.  Codes are int64, so a depth needs
-A^depth < 2^63.
+words, and every array aligned to words follows it.  In that order the words
+that share a prefix are consecutive, and for a 1-step shift how many there are
+depends only on the prefix's last symbol, so the maps between depths need no
+search: `Sft.prefix_index` is a run-length repeat, and a transfer step adds
+contiguous slices, one per run of legal transitions s -> t.  Codes are int64,
+so a depth needs A^depth < 2^63.
 
 The two cylinder kernels work on stacks of value rows, arrays of shape
 (rows, W_depth) that hold one function of a common depth per row:
@@ -142,30 +145,17 @@ class Sft:
         return pos
 
     def prefix_index(self, depth: int, d: int) -> np.ndarray:
-        """Index at depth d of the d-prefix of every depth-`depth` word."""
-        key = ("prefix", depth, d)
-        if key not in self._cache:
-            if not 1 <= d <= depth:
-                raise ValueError("need 1 <= d <= depth")
-            self._cache[key] = self.locate(
-                d, self.codes(depth) // self.n_symbols ** (depth - d))
-        return self._cache[key]
-
-    def extend_index(self, depth: int) -> np.ndarray:
-        """Array (n_symbols, W_{depth-1}): index at `depth` of (s,) + w, or -1
-        when the transition s -> w[0] is not legal."""
-        key = ("extend", depth)
-        if key not in self._cache:
-            if depth < 2:
-                raise ValueError("need depth >= 2")
-            prev = self.codes(depth - 1)
-            high = self.n_symbols ** (depth - 1)
-            legal = self.transitions[:, prev // (high // self.n_symbols)] == 1
-            out = np.full(legal.shape, -1, dtype=np.int64)
-            ext = np.arange(self.n_symbols, dtype=np.int64)[:, None] * high + prev
-            out[legal] = self.locate(depth, ext[legal])
-            self._cache[key] = out
-        return self._cache[key]
+        """Index at depth d of the d-prefix of every depth-`depth` word: each
+        d-word repeated once per legal continuation.  A word ending in symbol
+        a has N_j[a] continuations of j symbols, with N_0 = 1, N_(j+1) = T N_j."""
+        if not 1 <= d <= depth:
+            raise ValueError("need 1 <= d <= depth")
+        step = self.transitions.astype(np.int64)
+        counts = np.ones(self.n_symbols, dtype=np.int64)
+        for _ in range(depth - d):
+            counts = step @ counts
+        runs = counts[self.codes(d) % self.n_symbols]
+        return np.repeat(np.arange(len(runs)), runs)
 
     def representative_index(self, n: int, depth: int) -> np.ndarray:
         """Index at `depth` of the representative point of every depth-n cylinder."""
@@ -430,22 +420,34 @@ def _transfer_rows(sft: Sft, weights: Sequence[CylinderFunction], values: np.nda
                    depth: int) -> tuple[np.ndarray, int]:
     """Iterated transfer image of every row of the depth-`depth` stack `values`
     (rows, W_depth); weights[j] acts at step j.  Returns the image stack and
-    its depth.  Each step is the weighted preimage sum of `transfer_apply`,
-    summed over the preimage symbols s in order."""
+    its depth.  Each step is the weighted preimage sum of `transfer_apply`.
+
+    At depth `full` = out_depth + 1 the words s t ... form one contiguous
+    block, and so do the output words t ... ; for a legal s -> t the two are
+    the same words in the same order.  So a step adds one slice per run
+    t0..t1-1 of consecutive legal successors of s, in order of s, and every
+    output value is a sum over its legal preimage symbols in order, starting
+    at +0.0.
+    """
+    n_sym = sft.n_symbols
+    # the runs of legal successors: the rises and falls of each transition row
+    spans = [(s, t0, t1) for s, row in enumerate(sft.transitions)
+             for t0, t1 in np.flatnonzero(np.diff(row, prepend=0, append=0)).reshape(-1, 2)]
     for g in weights:
         out_depth = max(1, max(depth, g.depth) - 1)
         full = out_depth + 1
-        ext = sft.extend_index(full)
-        legal = ext >= 0
-        # an illegal preimage (s,) + w reads word 0 with weight 0.  Values are
-        # finite, so its term is a zero, and adding a zero changes no bit of a
-        # partial sum: the sums start at +0.0, so none of them is -0.0
-        y = np.where(legal, ext, 0)
-        src = sft.prefix_index(full, depth)[y]
-        wts = np.where(legal, g.array[sft.prefix_index(full, g.depth)[y]], 0.0)
-        out = np.zeros((len(values), len(sft.codes(out_depth))))
-        for s in range(sft.n_symbols):
-            out += values[:, src[s]] * wts[s]
+        if depth < full:
+            values = values[:, sft.prefix_index(full, depth)]
+        g_full = g.array if g.depth == full else g.array[sft.prefix_index(full, g.depth)]
+        # the words s t ... start at pair[s A + t], the output words t ... at
+        # block[t]: the code positions of the heads s t 0 ... 0 and t 0 ... 0
+        heads = np.arange(n_sym * n_sym + 1) * n_sym ** (out_depth - 1)
+        pair = np.searchsorted(sft.codes(full), heads).tolist()
+        block = np.searchsorted(sft.codes(out_depth), heads[:n_sym + 1]).tolist()
+        out = np.zeros((len(values), block[-1]))
+        for s, t0, t1 in spans:
+            src = slice(pair[s * n_sym + t0], pair[s * n_sym + t1])
+            out[:, block[t0]:block[t1]] += values[:, src] * g_full[src]
         values, depth = out, out_depth
     return values, depth
 
@@ -461,6 +463,8 @@ def transfer_apply(sft: Sft, g: CylinderFunction, f: CylinderFunction) -> Cylind
 def transfer_apply_word(sft: Sft, weights: Sequence[CylinderFunction],
                         f: CylinderFunction, n: int) -> CylinderFunction:
     """n-step iterated transfer image; weights[j] acts at step j."""
+    if n < 0:
+        raise ValueError(f"the step count must be non-negative, got {n}")
     if len(weights) < n:
         raise ValueError(f"{n} steps need {n} weights, got {len(weights)}")
     out, depth = _transfer_rows(sft, weights[:n], f.array[None], f.depth)
@@ -485,19 +489,9 @@ def transfer_matrix(sft: Sft, g: CylinderFunction) -> tuple[np.ndarray, list[Wor
     promoted to depth 2).  Returns (matrix, word basis); the operator action
     equals matrix @ value-vector exactly."""
     k = max(2, g.depth)
-    g = g.with_depth(k)
-    words = sft.legal_words(k - 1)
-    # the preimage sum of `transfer_apply`: entry (w, u) is g(y) for each
-    # legal y = (s,) + w, where u is the (k-1)-prefix of y
-    ext = sft.extend_index(k)
-    pf = sft.prefix_index(k, k - 1)
-    rows = np.arange(len(words))
-    mat = np.zeros((len(words), len(words)))
-    for s in range(sft.n_symbols):
-        legal = ext[s] >= 0
-        y = ext[s][legal]
-        mat[rows[legal], pf[y]] += g.array[y]
-    return mat, words
+    # column u is the image of the indicator of the (k-1)-word u
+    image, _ = _transfer_rows(sft, [g], np.eye(len(sft.codes(k - 1))), k - 1)
+    return image.T, sft.legal_words(k - 1)
 
 
 def weight_generator(sft: Sft, weights: Sequence[CylinderFunction]) -> _cocycle.Generator:

@@ -11,6 +11,7 @@ from oseledets.grassmann import (
     gap,
     local_norm,
     project_along,
+    project_off,
 )
 
 IDEMPOTENCE_TOL = 1e-10
@@ -198,6 +199,27 @@ def test_projection_accepts_random_pair_with_small_angle():
     assert np.linalg.svd(w.T @ f, compute_uv=False)[-1] == pytest.approx(1.06e-4, rel=1e-2)
     slow = np.linalg.qr(w, mode="complete")[0][:, c:]
     assert_idempotent(Subspace(slow), Subspace(f))
+
+
+@pytest.mark.parametrize("s", [1e-5, 1e-8])
+def test_project_off_verdict_does_not_depend_on_the_scale_of_x(s):
+    # f = (s e_1 + sqrt(1 - s²) e_3, e_2) against w = (e_1, e_2) in R^5, turned
+    # by a random rotation.  The result check used to be absolute in x: at
+    # s = 1e-5 it returned for x = ones and raised for 1e3 and 1e6 times ones
+    e = np.eye(5)
+    rot = np.linalg.qr(np.random.default_rng(0).normal(size=(5, 5)))[0]
+    f = rot @ np.column_stack([s * e[0] + np.sqrt(1.0 - s * s) * e[2], e[1]])
+    w = rot @ e[:, :2]
+    verdicts = []
+    for c in (1.0, 1e3, 1e6):
+        try:
+            y = project_off(f, w, c * np.ones((5, 1)))
+            assert np.max(np.abs(w.T @ y)) <= 1e-10 * c * np.sqrt(5.0)
+            verdicts.append("returned")
+        except DegenerateSum as exc:
+            assert "not direct" not in str(exc)
+            verdicts.append("raised")
+    assert verdicts == ["returned"] * 3 if s == 1e-5 else ["raised"] * 3
 
 
 def test_conditioned_basis_full_space_euclidean():

@@ -217,9 +217,9 @@ def ref_transfer_apply(sft, g, f):
     # accumulation over the legal preimages only
     out_depth = max(1, max(f.depth, g.depth) - 1)
     full = out_depth + 1
-    ext = sft.extend_index(full)
-    pf = sft.prefix_index(full, f.depth)
-    pg = sft.prefix_index(full, g.depth)
+    ext = ref_extend_index(sft, full)
+    pf = ref_prefix_index(sft, full, f.depth)
+    pg = ref_prefix_index(sft, full, g.depth)
     out = np.zeros(len(sft.codes(out_depth)))
     for s in range(sft.n_symbols):
         idx = ext[s]
@@ -227,6 +227,23 @@ def ref_transfer_apply(sft, g, f):
         y = idx[legal]
         out[legal] += f.array[pf[y]] * g.array[pg[y]]
     return out
+
+
+def ref_transfer_matrix(sft, g):
+    # the per-symbol loop that built `transfer_matrix` before it became the
+    # row transfer of the identity: entry (w, u) is g(y) for each legal
+    # y = (s,) + w, where u is the (k-1)-prefix of y
+    k = max(2, g.depth)
+    gk = g.array[ref_prefix_index(sft, k, g.depth)]
+    ext = ref_extend_index(sft, k)
+    pf = ref_prefix_index(sft, k, k - 1)
+    rows = np.arange(ext.shape[1])
+    mat = np.zeros((ext.shape[1], ext.shape[1]))
+    for s in range(sft.n_symbols):
+        legal = ext[s] >= 0
+        y = ext[s][legal]
+        mat[rows[legal], pf[y]] += gk[y]
+    return mat
 
 
 def LIP_TERM(lo_a, hi_a, lo_b, hi_b):
@@ -248,8 +265,6 @@ def test_codes_match_tuple_reference(name):
         assert [sft.code(w) for w in words] == sft.codes(depth).tolist()
         for d in range(1, depth + 1):
             assert np.array_equal(sft.prefix_index(depth, d), ref_prefix_index(sft, depth, d))
-        if depth >= 2:
-            assert np.array_equal(sft.extend_index(depth), ref_extend_index(sft, depth))
         for n in range(1, 6):
             assert np.array_equal(sft.representative_index(n, depth),
                                   ref_representative_index(sft, n, depth))
@@ -327,6 +342,44 @@ def test_row_transfer_matches_one_function_reference():
                 assert out.tobytes() == ref.tobytes(), (t, fdepth, gdepth)
             one = transfer_apply(sft, g, CylinderFunction(sft, fdepth, values[0]))
             assert one.array.tobytes() == got[0].tobytes()
+
+
+def test_transfer_matrix_matches_symbol_loop_reference():
+    # every shift on 1..3 symbols at weight depths 1..4, signed weights with
+    # exact zeros of both signs: the identity rows through the row transfer
+    # equal the per-symbol loop bit for bit
+    rng = np.random.default_rng(16)
+    for t in (t for t in _valid_shifts() if len(t) <= 3):
+        sft = Sft(len(t), t, 0.5)
+        for depth in range(1, 5):
+            vals = rng.uniform(-1.0, 1.0, size=len(sft.codes(depth)))
+            vals[rng.random(vals.shape) < 0.2] = 0.0
+            vals[rng.random(vals.shape) < 0.2] = -0.0
+            g = CylinderFunction(sft, depth, vals)
+            mat, words = transfer_matrix(sft, g)
+            assert words == ref_words(sft, max(1, depth - 1))
+            assert mat.tobytes() == ref_transfer_matrix(sft, g).tobytes(), (t, depth)
+
+
+def test_cache_keeps_no_index_maps():
+    # the index maps are rebuilt on every call, so a sandwich leaves only
+    # codes, representative gathers and the irreducibility flag behind
+    sft = Sft.full(2, 0.5)
+    norm_and_ic_bounds(sft, [stochastic_weight(0.8, sft)] * 10, 10, 4, n_samples=3)
+    assert {key[0] if isinstance(key, tuple) else key for key in sft._cache} \
+        <= {"codes", "representative", "irreducible"}
+
+
+def test_negative_step_count_rejected():
+    # weights[:n] with n < 0 slices from the end: with three weights, n = -1
+    # used to return the 2-step image, and rn(sft, ws, -2) returned R_1
+    ws = [stochastic_weight(0.8)] * 3
+    for n in (-1, -2):
+        with pytest.raises(ValueError, match="non-negative"):
+            transfer_apply_word(FULL, ws, CylinderFunction.constant(FULL, 1.0), n)
+        with pytest.raises(ValueError, match="non-negative"):
+            rn(FULL, ws, n)
+    assert rn(FULL, ws, 0) == 1.0
 
 
 def test_cylinder_function_rejects_non_finite_values():
