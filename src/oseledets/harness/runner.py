@@ -31,6 +31,15 @@ MAP_PRESETS = {
 }
 
 
+def _from_system(build, *args):
+    """build(*args), which constructs maps or matrices from [system] values
+    and computes nothing; a ValueError it raises is a ConfigError."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ConfigError(f"invalid [system] value: {exc}") from exc
+
+
 def _build_maps(cfg: RunConfig) -> list[iv.PiecewiseMap]:
     maps = []
     if "maps" in cfg.system:
@@ -47,6 +56,8 @@ def _build_maps(cfg: RunConfig) -> list[iv.PiecewiseMap]:
         rows = [row for row in
                 (parse_vector(part) for part in cfg.system[f"map.{idx}"].split(";")
                  if part.strip())]
+        if any(len(row) != 4 for row in rows):
+            raise ConfigError(f"system.map.{idx} rows must be [a, b, slope, intercept]")
         maps.append(iv.affine_map(rows))
         idx += 1
     if not maps:
@@ -58,7 +69,7 @@ def run_cocycle(cfg: RunConfig) -> dict:
     if "matrices" not in cfg.system:
         raise ConfigError("cocycle run needs system.matrices")
     mats = parse_matrices(cfg.system["matrices"])
-    gen = cc.Generator.from_list([np.asarray(m) for m in mats])
+    gen = _from_system(cc.Generator.from_list, [np.asarray(m) for m in mats])
     driving = build_driving(cfg, len(mats))
     n_past = cfg.numeric("n_past", 200, int)
     n_future = cfg.numeric("n_future", 50, int)
@@ -108,7 +119,7 @@ def _g_decay_series(gen, window, report, g_len) -> list[float]:
 
 
 def run_interval(cfg: RunConfig) -> dict:
-    maps = _build_maps(cfg)
+    maps = _from_system(_build_maps, cfg)
     driving = build_driving(cfg, len(maps))
     sys = iv.RandomIntervalSystem(tuple(maps), driving)
     k = cfg.numeric("k", 64, int)
@@ -186,14 +197,16 @@ def run_sft(cfg: RunConfig) -> dict:
 
 
 def run_counterexample(cfg: RunConfig) -> dict:
-    a0 = np.asarray(parse_matrix(cfg.system["a0"]))
-    a1 = np.asarray(parse_matrix(cfg.system["a1"]))
+    gen = _from_system(cc.Generator.from_list,
+                       [np.asarray(parse_matrix(cfg.system[key])) for key in ("a0", "a1")])
+    if np.any(np.abs(np.linalg.det(gen.stack)) < 1e-12):
+        raise ConfigError("counterexample generators a0 and a1 must be invertible")
     driving = build_driving(cfg, 2)
     n_pairs = cfg.numeric("n_pairs", 50, int)
     past_length = cfg.numeric("past_length", 100, int)
     future_length = cfg.numeric("future_length", 20, int)
     windows = driving.sample_past_variants(n_pairs, past_length, future_length)
-    demo = cc.noncommuting_base_demo(a0, a1, windows,
+    demo = cc.noncommuting_base_demo(*gen.matrices, windows,
                                      gap_tolerance=cfg.numeric(
                                          "gap_tolerance", cc.GAP_TOLERANCE))
     return {

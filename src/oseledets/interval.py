@@ -4,6 +4,10 @@ operators on functions of bounded variation.
 Maps are lists of monotone branches; for affine branches everything here is
 exact: transfer-operator images of piecewise-affine functions, total
 variation, integrals, bin-transition (Ulam) matrices, and map composition.
+An Ulam matrix takes one vectorised pass per branch: its cuts at the bin
+edges and the preimages of the bin edges, sorted together, split it into
+segments that each lie in one domain bin and one image bin.  Smooth
+branches get those preimages from `Branch.inverse`, the only root-finder.
 The quantitative checks cover the variation inequality for a single map, the
 contraction-coefficient sandwich realized by separated indicator families,
 the expansion index of random compositions, and the random invariant
@@ -66,17 +70,23 @@ class Branch:
         lo, hi = self(self.a), self(self.b)
         return (lo, hi) if lo <= hi else (hi, lo)
 
-    def inverse(self, y: float) -> float:
+    def inverse(self, y):
+        """The preimage in [a, b] of a point or an array of points of the
+        image: closed form for an affine branch, one `brentq` root per point
+        (xtol 1e-14) for a smooth one."""
         if self.is_affine:
             return (y - self.intercept) / self.slope
+        ys = np.asarray(y, dtype=float)
         lo, hi = self.image()
-        if not lo - 1e-12 <= y <= hi + 1e-12:
+        if np.any((ys < lo - 1e-12) | (ys > hi + 1e-12)):
             raise ValueError("point not in branch image")
         # imported here: scipy.optimize dominates the package's import time,
         # and only non-affine branches need it
         from scipy.optimize import brentq
 
-        return brentq(lambda x: self.fn(x) - y, self.a, self.b, xtol=1e-14)
+        xs = [brentq(lambda x: self.fn(x) - v, self.a, self.b, xtol=1e-14)
+              for v in ys.ravel()]
+        return np.reshape(xs, ys.shape)[()]
 
     def min_abs_derivative(self) -> float:
         """|slope|, or for a smooth branch the sampled minimum of |T'| on a
@@ -109,6 +119,8 @@ class PiecewiseMap:
                 raise ValueError("branch domains overlap")
             prev_end = b.b
             total += b.b - b.a
+            if b.a < -1e-9 or b.b > 1 + 1e-9:
+                raise ValueError("branch domain leaves [0, 1]")
             lo, hi = b.image()
             if lo < -1e-9 or hi > 1 + 1e-9:
                 raise ValueError("branch image leaves [0, 1]")
@@ -406,57 +418,39 @@ def _from_pieces(pieces: Sequence[tuple[float, float, float, float]]) -> BVFunct
 
 def ulam_matrix(t: PiecewiseMap, k: int) -> np.ndarray:
     """Row-stochastic bin-transition matrix: entry (i, j) is the fraction of
-    bin i mapped into bin j.  Exact for affine branches, root-finding based
-    for smooth monotone branches."""
+    bin i mapped into bin j.
+
+    Per branch, the cuts (its ends and the bin edges inside it) and the
+    preimages of the bin edges inside its image (skipping those within
+    1e-15 of a cut's value) are sorted together.  Each segment between
+    neighbours lies in one domain bin and one image bin, found from its
+    midpoint.  Exact for affine branches; smooth ones get their preimages
+    from `Branch.inverse`.
+    """
     if k < 1:
         raise ValueError("need at least one bin")
     edges = np.linspace(0.0, 1.0, k + 1)
     mat = np.zeros((k, k))
     for br in t.branches:
-        lo_bin = int(np.floor(br.a * k))
-        hi_bin = min(int(np.ceil(br.b * k)), k)
-        for i in range(lo_bin, hi_bin):
-            xa = max(br.a, edges[i])
-            xb = min(br.b, edges[i + 1])
-            if xb - xa <= _MERGE_TOL:
-                continue
-            _accumulate_bin_mass(mat, i, br, xa, xb, edges, k)
+        cuts = np.concatenate(([br.a], edges[(edges > br.a) & (edges < br.b)], [br.b]))
+        vals = np.sort(br(cuts))
+        if not np.all(np.isfinite(vals)):
+            raise QuadratureFailure(f"branch value not finite on [{br.a}, {br.b}]")
+        ys = edges[(edges > vals[0]) & (edges < vals[-1])]
+        at = np.searchsorted(vals, ys)
+        ys = ys[np.minimum(ys - vals[at - 1], vals[at] - ys) > 1e-15]
+        xs = np.sort(np.concatenate((cuts, np.clip(br.inverse(ys), br.a, br.b))))
+        lengths = np.diff(xs)
+        keep = lengths > 0
+        mid = 0.5 * (xs[:-1] + xs[1:])[keep]
+        i = np.searchsorted(edges, mid, side="right") - 1
+        j = np.searchsorted(edges, br(mid), side="right") - 1
+        np.add.at(mat, (np.clip(i, 0, k - 1), np.clip(j, 0, k - 1)), lengths[keep])
     rows = mat.sum(axis=1) * k
     if np.max(np.abs(rows - 1.0)) > 1e-12:
         raise QuadratureFailure(
             f"bin transition rows sum to 1 within {np.max(np.abs(rows - 1.0)):.2e} only")
     return mat * k  # normalize by m(B_i) = 1/k
-
-
-def _accumulate_bin_mass(mat, i, br, xa, xb, edges, k):
-    ya, yb = br(xa), br(xb)
-    if not (np.isfinite(ya) and np.isfinite(yb)):
-        raise QuadratureFailure(f"branch value not finite on [{xa}, {xb}]")
-    increasing = yb >= ya
-    ylo, yhi = (ya, yb) if increasing else (yb, ya)
-    j_lo = max(int(np.floor(ylo * k)), 0)
-    j_hi = min(int(np.ceil(yhi * k)), k)
-    prev_x = xa if increasing else xb
-    for j in range(j_lo, j_hi):
-        y_edge = edges[j + 1]
-        if y_edge >= yhi - 1e-15:
-            next_x = xb if increasing else xa
-        else:
-            if br.is_affine:
-                next_x = br.inverse(y_edge)
-            else:
-                from scipy.optimize import brentq
-
-                try:
-                    next_x = brentq(lambda x: br.fn(x) - y_edge, xa, xb, xtol=1e-14)
-                except ValueError as exc:  # pragma: no cover - defensive
-                    raise QuadratureFailure(str(exc)) from exc
-        length = abs(next_x - prev_x)
-        if length > 0:
-            mat[i, j] += length
-        prev_x = next_x
-        if y_edge >= yhi - 1e-15:
-            break
 
 
 def density_generator(sys: RandomIntervalSystem, k: int) -> _cocycle.Generator:

@@ -530,6 +530,28 @@ def test_cli_unread_system_and_driving_keys_are_config_errors(tmp_path, capsys, 
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("text", [
+    INTERVAL_CFG.replace("maps = doubling", "map.0 = [0, 1, 2]"),
+    INTERVAL_CFG.replace("maps = doubling", "map.0 = [0, 0.6, 1.5, 0]"),
+    INTERVAL_CFG.replace("maps = doubling", "map.0 = [0, 1, 2, 0]"),
+    INTERVAL_CFG.replace("maps = doubling",
+                         "map.0 = [-0.25, 0.25, 2, 0.5] ; [0.25, 0.75, 2, -0.5]"),
+    INTERVAL_CFG.replace("maps = doubling", "maps = slope:0"),
+    INTERVAL_CFG.replace("maps = doubling", "maps = slope:2"),
+    INTERVAL_CFG.replace("maps = doubling", "maps = slope:x"),
+    COCYCLE_CFG.replace("[[2, 0], [0, 0.5]]", "[[inf, 0], [0, 1]]"),
+    COUNTER_CFG.replace("a0 = [[3, 0], [0, 0.3333333333333333]]", "a0 = [[1, 0], [0, 0]]"),
+], ids=["map-row-length", "map-domains-short", "map-image-leaves", "map-domain-leaves",
+        "slope-zero", "slope-image-leaves", "slope-not-a-number", "matrix-not-finite",
+        "counterexample-singular"])
+def test_cli_invalid_system_values_are_config_errors(tmp_path, capsys, text):
+    out_path = tmp_path / "rec.ndjson"
+    assert main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Traceback" not in err
+    assert not out_path.exists()
+
+
 def test_read_system_keys_are_accepted(tmp_path):
     # every key each kind reads, map.0 and map.1 included
     text = INTERVAL_CFG.replace("maps = doubling",

@@ -174,6 +174,90 @@ def test_ulam_smooth_branch_matches_affine():
                        atol=1e-10)
 
 
+def loop_ulam_matrix(t, k):
+    """Reference: the bin-by-bin loop that walks each bin's image edges in
+    turn, inverting affine branches in closed form (smooth ones by `brentq`
+    on the bin)."""
+    from scipy.optimize import brentq
+
+    edges = np.linspace(0.0, 1.0, k + 1)
+    mat = np.zeros((k, k))
+    for br in t.branches:
+        for i in range(int(np.floor(br.a * k)), min(int(np.ceil(br.b * k)), k)):
+            xa, xb = max(br.a, edges[i]), min(br.b, edges[i + 1])
+            if xb - xa <= 1e-14:
+                continue
+            ya, yb = br(xa), br(xb)
+            increasing = yb >= ya
+            ylo, yhi = (ya, yb) if increasing else (yb, ya)
+            prev_x = xa if increasing else xb
+            for j in range(max(int(np.floor(ylo * k)), 0), min(int(np.ceil(yhi * k)), k)):
+                y_edge = edges[j + 1]
+                last = y_edge >= yhi - 1e-15
+                if last:
+                    next_x = xb if increasing else xa
+                elif br.is_affine:
+                    next_x = br.inverse(y_edge)
+                else:
+                    next_x = brentq(lambda x: br.fn(x) - y_edge, xa, xb, xtol=1e-14)
+                if abs(next_x - prev_x) > 0:
+                    mat[i, j] += abs(next_x - prev_x)
+                prev_x = next_x
+                if last:
+                    break
+    return mat * k
+
+
+def leaking_halves_map(n, j):
+    """L_{n,j}: each half of [0, 1] cut into n full branches of slope n onto
+    a half; in each half the last j branches map onto the other half."""
+    rows = []
+    for r in range(2 * n):
+        a, half = r / (2 * n), r // n
+        onto = half if r % n < n - j else 1 - half
+        rows.append([a, (r + 1) / (2 * n), float(n), onto / 2 - n * a])
+    return affine_map(rows)
+
+
+@pytest.mark.parametrize("t", [tripling_map(), single_slope_map(0.75)],
+                         ids=["tripling", "slope-0.75"])
+def test_ulam_matches_bin_loop_bit_for_bit(t):
+    for i in range(12):
+        assert np.array_equal(ulam_matrix(t, 2 ** i), loop_ulam_matrix(t, 2 ** i)), 2 ** i
+
+
+@pytest.mark.parametrize("t", [
+    doubling_map(), tent_map(),
+    affine_map([[0.0, 0.4, 2.5, 0.0], [0.4, 1.0, -5 / 3, 5 / 3]]),
+    leaking_halves_map(4, 1),
+], ids=["doubling", "tent", "skew", "leaking-halves-4-1"])
+def test_ulam_matches_bin_loop_off_powers_of_two(t):
+    # the loop gives sub-ulp slivers at image edges next to a cut's value
+    # to the neighbouring bin; the merge drops them
+    for k in range(1, 71):
+        assert np.max(np.abs(ulam_matrix(t, k) - loop_ulam_matrix(t, k))) <= 1e-13, k
+
+
+def test_ulam_smooth_branch_matches_closed_form_preimage():
+    # T(x) = x²/2 + x/2 maps [0, 1] onto itself with T⁻¹(y) = -1/2 + √(1/4 + 2y);
+    # 1 - T is its decreasing twin.  m(B_i ∩ T⁻¹B_j) is a difference of
+    # preimages, so k·(brentq's xtol) bounds the normalised entries.
+    def preimage(y):
+        return -0.5 + np.sqrt(0.25 + 2.0 * y)
+
+    for sign in (1.0, -1.0):
+        t = PiecewiseMap((Branch(a=0.0, b=1.0,
+                                 fn=lambda x, s=sign: (1 - s) / 2 + s * (x ** 2 / 2 + x / 2),
+                                 dfn=lambda x, s=sign: s * (x + 0.5)),))
+        for k in (1, 2, 5, 16, 37, 64):
+            edges = np.linspace(0.0, 1.0, k + 1)
+            pre = preimage(edges if sign > 0 else 1.0 - edges)
+            lo, hi = np.minimum(pre[:-1], pre[1:]), np.maximum(pre[:-1], pre[1:])
+            oracle = k * np.clip(np.minimum(edges[1:, None], hi[None, :])
+                                 - np.maximum(edges[:-1, None], lo[None, :]), 0.0, None)
+            assert np.max(np.abs(ulam_matrix(t, k) - oracle)) <= 4e-14 * k, (sign, k)
+
+
 def test_ulam_quadrature_failure_on_pathological_branch():
     # root finding cannot bracket through a non-finite stretch
     def horrid(x):
@@ -503,3 +587,7 @@ def test_piecewise_map_validation():
         affine_map([[0.0, 0.6, 2.0, 0.0], [0.5, 1.0, 2.0, -1.0]])  # overlap
     with pytest.raises(ValueError):
         affine_map([[0.0, 1.0, 2.0, 0.0]])  # image leaves [0, 1]
+    with pytest.raises(ValueError, match="domain leaves"):
+        affine_map([[-0.25, 0.25, 2.0, 0.5], [0.25, 0.75, 2.0, -0.5]])
+    # the same 1e-9 slack as the image check
+    affine_map([[-1e-10, 0.5, 2.0, 0.0], [0.5, 1.0, 2.0, -1.0]])
