@@ -10,6 +10,12 @@ sft       : weighted transfer operators on subshifts of finite type
 harness   : configuration, experiment runners, result records, and the CLI
 """
 
+import os
+
+# Idle OpenBLAS workers otherwise spin ~0.1 s of a core after load and after
+# every threaded call; a short timeout parks them (a caller's value wins).
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 from .grassmann import (
     Subspace,
     project_along,

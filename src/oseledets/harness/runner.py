@@ -12,7 +12,7 @@ from .. import cocycle as cc
 from .. import grassmann as _grassmann
 from .. import interval as iv
 from .. import sft as sf
-from ..errors import ConfigError, NumericalFailure
+from ..errors import ConfigError, DimensionMismatch, NumericalFailure
 from . import lemmas
 from .config import (
     RunConfig,
@@ -33,10 +33,11 @@ MAP_PRESETS = {
 
 def _from_system(build, *args):
     """build(*args), which constructs maps or matrices from [system] values
-    and computes nothing; a ValueError it raises is a ConfigError."""
+    and computes nothing; a ValueError or DimensionMismatch it raises is a
+    ConfigError."""
     try:
         return build(*args)
-    except ValueError as exc:
+    except (ValueError, DimensionMismatch) as exc:
         raise ConfigError(f"invalid [system] value: {exc}") from exc
 
 
@@ -65,12 +66,46 @@ def _build_maps(cfg: RunConfig) -> list[iv.PiecewiseMap]:
     return maps
 
 
-def run_cocycle(cfg: RunConfig) -> dict:
+def _cocycle_system(cfg: RunConfig):
     if "matrices" not in cfg.system:
         raise ConfigError("cocycle run needs system.matrices")
-    mats = parse_matrices(cfg.system["matrices"])
-    gen = _from_system(cc.Generator.from_list, [np.asarray(m) for m in mats])
-    driving = build_driving(cfg, len(mats))
+    gen = _from_system(cc.Generator.from_list,
+                       [np.asarray(m) for m in parse_matrices(cfg.system["matrices"])])
+    return gen, build_driving(cfg, gen.alphabet_size)
+
+
+def _interval_system(cfg: RunConfig):
+    maps = _from_system(_build_maps, cfg)
+    return maps, build_driving(cfg, len(maps))
+
+
+def _sft_system(cfg: RunConfig):
+    if "amplitudes" not in cfg.system:
+        raise ConfigError("sft run needs system.amplitudes")
+    amps = parse_vector(cfg.system["amplitudes"])
+    return amps, build_driving(cfg, len(amps))
+
+
+def _counterexample_system(cfg: RunConfig):
+    gen = _from_system(cc.Generator.from_list,
+                       [np.asarray(parse_matrix(cfg.system[key])) for key in ("a0", "a1")])
+    if np.any(np.abs(np.linalg.det(gen.stack)) < 1e-12):
+        raise ConfigError("counterexample generators a0 and a1 must be invertible")
+    return gen, build_driving(cfg, 2)
+
+
+# per kind, the (system, driving law) built from [system] and [driving]
+# values; building computes nothing and raises ConfigError for a bad value
+SYSTEMS = {
+    "cocycle": _cocycle_system,
+    "interval": _interval_system,
+    "sft": _sft_system,
+    "counterexample": _counterexample_system,
+}
+
+
+def run_cocycle(cfg: RunConfig) -> dict:
+    gen, driving = _cocycle_system(cfg)
     n_past = cfg.numeric("n_past", 200, int)
     n_future = cfg.numeric("n_future", 50, int)
     n = cfg.numeric("n", 10_000, int)
@@ -119,8 +154,7 @@ def _g_decay_series(gen, window, report, g_len) -> list[float]:
 
 
 def run_interval(cfg: RunConfig) -> dict:
-    maps = _from_system(_build_maps, cfg)
-    driving = build_driving(cfg, len(maps))
+    maps, driving = _interval_system(cfg)
     sys = iv.RandomIntervalSystem(tuple(maps), driving)
     k = cfg.numeric("k", 64, int)
     n_past = cfg.numeric("n_past", 200, int)
@@ -153,10 +187,7 @@ def run_interval(cfg: RunConfig) -> dict:
 
 def run_sft(cfg: RunConfig) -> dict:
     theta = float(cfg.system.get("theta", 0.5))
-    if "amplitudes" not in cfg.system:
-        raise ConfigError("sft run needs system.amplitudes")
-    amps = parse_vector(cfg.system["amplitudes"])
-    driving = build_driving(cfg, len(amps))
+    amps, driving = _sft_system(cfg)
     n = cfg.numeric("n", 100_000, int)
     example = sf.antisymmetric_example(amps, driving, theta=theta, n=n)
     n_ic = cfg.numeric("n_ic", 3, int)
@@ -197,11 +228,7 @@ def run_sft(cfg: RunConfig) -> dict:
 
 
 def run_counterexample(cfg: RunConfig) -> dict:
-    gen = _from_system(cc.Generator.from_list,
-                       [np.asarray(parse_matrix(cfg.system[key])) for key in ("a0", "a1")])
-    if np.any(np.abs(np.linalg.det(gen.stack)) < 1e-12):
-        raise ConfigError("counterexample generators a0 and a1 must be invertible")
-    driving = build_driving(cfg, 2)
+    gen, driving = _counterexample_system(cfg)
     n_pairs = cfg.numeric("n_pairs", 50, int)
     past_length = cfg.numeric("past_length", 100, int)
     future_length = cfg.numeric("future_length", 20, int)
@@ -295,12 +322,15 @@ def _apply_point(cfg: RunConfig, point: dict[str, str], index: int) -> RunConfig
         else:
             raise ConfigError(f"unknown grid section {section!r}")
     validate_config(out)
+    if out.kind in SYSTEMS:
+        SYSTEMS[out.kind](out)
     return out
 
 
 def sweep(cfg: RunConfig, grid: list[tuple[str, list[str]]]) -> list[dict]:
     """One record per grid point, run serially in grid order; per-point seeds
-    are base_seed XOR point_index.  Failed points carry error tags."""
+    are base_seed XOR point_index.  Every point's config, system and driving
+    law are checked before any point runs.  Failed points carry error tags."""
     if not grid:
         return []
     keys = [k for k, _ in grid]

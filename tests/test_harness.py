@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -465,6 +466,45 @@ def test_cli_import_skips_scipy_optimize(tmp_path, child_env):
     assert proc.stdout.split("\n") == ["[]"] * 5 + [""]
 
 
+def _openblas_threads() -> bool:
+    """Whether numpy's BLAS is OpenBLAS and this process may use 2 CPUs."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        return False
+    return "openblas" in blas.lower() and len(os.sched_getaffinity(0)) >= 2
+
+
+def test_import_sets_openblas_thread_timeout(child_env):
+    script = "import os, oseledets\nprint(os.environ['OPENBLAS_THREAD_TIMEOUT'])\n"
+    bare = {k: v for k, v in child_env.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    for env, expected in ((bare, "4"), ({**bare, "OPENBLAS_THREAD_TIMEOUT": "9"}, "9")):
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == expected + "\n"
+
+
+@pytest.mark.skipif(not _openblas_threads(), reason="needs threaded OpenBLAS")
+def test_idle_openblas_workers_do_not_spin(child_env):
+    # without the timeout, the workers of a threaded matmul poll for about
+    # 0.13 s of CPU after it returns
+    script = (
+        "import time\n"
+        "import oseledets\n"
+        "import numpy as np\n"
+        "a = np.random.default_rng(0).random((512, 512))\n"
+        "a @ a\n"
+        "started = time.process_time()\n"
+        "time.sleep(0.3)\n"
+        "print(time.process_time() - started)\n")
+    env = {k: v for k, v in child_env.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 0.03
+
+
 TWO_MATRIX_CFG = COCYCLE_CFG.replace("[[2, 0], [0, 0.5]]",
                                      "[[2, 0], [0, 0.5]] ; [[3, 0], [0, 0.25]]")
 
@@ -541,15 +581,37 @@ def test_cli_unread_system_and_driving_keys_are_config_errors(tmp_path, capsys, 
     INTERVAL_CFG.replace("maps = doubling", "maps = slope:x"),
     COCYCLE_CFG.replace("[[2, 0], [0, 0.5]]", "[[inf, 0], [0, 1]]"),
     COUNTER_CFG.replace("a0 = [[3, 0], [0, 0.3333333333333333]]", "a0 = [[1, 0], [0, 0]]"),
+    # shape errors: Generator raises DimensionMismatch, a NumericalFailure
+    COCYCLE_CFG.replace("[[2, 0], [0, 0.5]]", "[[1, 2, 3], [4, 5, 6]]"),
+    COUNTER_CFG.replace("a1 = [[0, 0.3333333333333333], [3, 0]]",
+                        "a1 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]"),
 ], ids=["map-row-length", "map-domains-short", "map-image-leaves", "map-domain-leaves",
         "slope-zero", "slope-image-leaves", "slope-not-a-number", "matrix-not-finite",
-        "counterexample-singular"])
+        "counterexample-singular", "matrix-not-square", "counterexample-sizes-differ"])
 def test_cli_invalid_system_values_are_config_errors(tmp_path, capsys, text):
     out_path = tmp_path / "rec.ndjson"
     assert main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "Traceback" not in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("text, grid", [
+    (INTERVAL_CFG, "system.maps=tripling,slope:2"),
+    (INTERVAL_CFG + "\n[driving]\nprobs = 1\n", "system.maps=doubling,doubling tripling"),
+    (COCYCLE_CFG, "system.matrices=[[2]],[[1 2 3]]"),
+], ids=["interval-slope-image-leaves", "interval-driving-size", "cocycle-not-square"])
+def test_sweep_checks_every_point_system_before_running_any(tmp_path, capsys, monkeypatch,
+                                                            text, grid):
+    # point 0 is valid and point 1 is not: nothing may run
+    ran, run = [], runner.run
+    monkeypatch.setattr(runner, "run", lambda cfg: ran.append(cfg) or run(cfg))
+    out_path = tmp_path / "rec.ndjson"
+    argv = ["sweep", "--config", write_cfg(tmp_path, text), "--out", str(out_path),
+            "--grid", grid]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert ran == [] and not out_path.exists()
 
 
 def test_read_system_keys_are_accepted(tmp_path):
