@@ -9,8 +9,8 @@ Grammar (UTF-8, parsed with configparser):
 
     [driving]                     # optional; defaults to uniform i.i.d.
     law = iid | markov
-    probs = 0.5, 0.5
-    transition = [[0.9, 0.1], [0.2, 0.8]]
+    probs = 0.5, 0.5              # iid only
+    transition = [[0.9, 0.1], [0.2, 0.8]]   # markov only
 
     [system]                      # kind-specific, see the field dictionary
     matrices = [[2, 0], [0, 0.5]] ; [[3, 0], [0, 0.333]]
@@ -26,11 +26,14 @@ Grammar (UTF-8, parsed with configparser):
     n_past = 200
     ...
 
-Each kind accepts only the [numerics], [system] and [driving] keys it reads
-(`NUMERICS_KEYS`, `SYSTEM_KEYS`, `DRIVING_KEYS`).
+Each kind accepts only the [numerics], [system] and [driving] keys it (or its
+driving law) reads (`NUMERICS_KEYS`, `SYSTEM_KEYS`, `DRIVING_KEYS`).
 Matrices are bracketed row lists; several matrices are separated by ';'.
-Every tolerance must be positive and the seed must be given explicitly: runs
-never draw entropy from the environment.
+`validate_config` checks those keys and the [numerics] values (every
+tolerance finite and positive, every count at least its `COUNT_MINIMA`), then
+builds the system and driving law (`SYSTEMS`), which checks every [system]
+and [driving] value; so a loaded config is one that can be built.  The seed
+must be given explicitly: runs never draw entropy from the environment.
 """
 
 from __future__ import annotations
@@ -38,17 +41,22 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..cocycle import DrivingSystem, single_closed_class
-from ..errors import ConfigError
+from .. import cocycle as cc
+from .. import interval as iv
+from .. import sft as sf
+from ..errors import ConfigError, DimensionMismatch
 
 KINDS = ("cocycle", "interval", "sft", "counterexample", "lemma-suite")
-# smallest allowed value of each integer count in [numerics]
+# smallest allowed value of each integer count in [numerics]; only cocycle
+# and interval runs read n_past, and their splitting's convergence check
+# compares against half the past
 COUNT_MINIMA = {"n": 1, "k": 1, "n_ic": 1, "m_proj": 1, "n_pairs": 1, "ly_samples": 1,
-                "n_past": 0, "n_future": 0, "g_len": 0, "ic_samples": 0,
+                "n_past": 2, "n_future": 0, "g_len": 0, "ic_samples": 0,
                 "past_length": 0, "future_length": 0}
 # the [numerics] keys a run of each kind reads; any other key is an error
 NUMERICS_KEYS = {
@@ -59,8 +67,8 @@ NUMERICS_KEYS = {
     "lemma-suite": set(),
 }
 # the [system] keys a run of each kind reads (interval runs also read map.0,
-# map.1, ... up to the first missing index), and the [driving] keys of every
-# kind that samples symbols
+# map.1, ... up to the first missing index), and the [driving] keys each law
+# reads in every kind that samples symbols
 SYSTEM_KEYS = {
     "cocycle": {"matrices"},
     "interval": {"maps"},
@@ -68,7 +76,7 @@ SYSTEM_KEYS = {
     "counterexample": {"a0", "a1"},
     "lemma-suite": set(),
 }
-DRIVING_KEYS = {"law", "probs", "transition"}
+DRIVING_KEYS = {"iid": {"law", "probs"}, "markov": {"law", "transition"}}
 
 
 def parse_vector(text: str) -> list[float]:
@@ -180,76 +188,155 @@ def load_config(path: str, seed_override: int | None = None,
 
 
 def validate_config(cfg: RunConfig) -> None:
+    """Check that the run reads every [numerics], [system] and [driving] key
+    and that each [numerics] value is in range, then build the system and its
+    driving law, which checks every [system] and [driving] value."""
+    kind, law = f"kind {cfg.kind}", cfg.driving.get("law", "iid")
     system, i = set(SYSTEM_KEYS[cfg.kind]), 0
     while cfg.kind == "interval" and f"map.{i}" in cfg.system:
         system.add(f"map.{i}")
         i += 1
-    for section, keys, read in (
-            ("numerics", cfg.numerics, NUMERICS_KEYS[cfg.kind]),
-            ("system", cfg.system, system),
-            ("driving", cfg.driving, DRIVING_KEYS if cfg.kind != "lemma-suite" else set())):
+    # a lemma-suite run reads no [driving] key; an unknown law is reported
+    # when the driving law is built
+    law_reader, driving = ((f"law {law}", DRIVING_KEYS.get(law, set(cfg.driving)))
+                           if cfg.kind in SYSTEMS else (kind, set()))
+    for reader, section, keys, read in (
+            (kind, "numerics", cfg.numerics, NUMERICS_KEYS[cfg.kind]),
+            (kind, "system", cfg.system, system),
+            (law_reader, "driving", cfg.driving, driving)):
         unread = sorted(set(keys) - read)
         if unread:
-            raise ConfigError(f"kind {cfg.kind} reads no [{section}] key {', '.join(unread)}")
-    for key, raw in cfg.numerics.items():
-        if "tolerance" in key:
-            try:
-                val = float(raw)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad tolerance {key}") from exc
-            if not val > 0:
-                raise ConfigError(f"tolerance {key} must be positive")
+            raise ConfigError(f"{reader} reads no [{section}] key {', '.join(unread)}")
+    for key in cfg.numerics:
+        if "tolerance" in key and not 0.0 < cfg.numeric(key, None) < math.inf:
+            raise ConfigError(f"tolerance {key} must be finite and positive")
     for key, low in COUNT_MINIMA.items():
         if cfg.numeric(key, low, int) < low:
             raise ConfigError(f"{key} must be at least {low}")
-    # a splitting's convergence check compares against half the past
-    if cfg.kind in ("cocycle", "interval") and cfg.numeric("n_past", 2, int) < 2:
-        raise ConfigError("n_past must be at least 2 for a cocycle or interval run")
-    if "theta" in cfg.system:
-        try:
-            theta = float(cfg.system["theta"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("bad theta") from exc
-        if not 0.0 < theta < 1.0:
-            raise ConfigError("theta must lie strictly between 0 and 1")
-    if cfg.driving:
-        law = cfg.driving.get("law", "iid")
-        if law not in ("iid", "markov"):
-            raise ConfigError(f"unknown driving law {law!r}")
-        if "probs" in cfg.driving:
-            probs = parse_vector(cfg.driving["probs"])
-            if any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
-                raise ConfigError("probs must be nonnegative and sum to 1")
-        if law == "markov" and "transition" in cfg.driving:
-            rows = parse_matrix(cfg.driving["transition"])
-            if any(p < 0 for row in rows for p in row) or any(
-                    abs(sum(row) - 1.0) > 1e-9 for row in rows):
-                raise ConfigError("transition entries must be nonnegative "
-                                  "and each row must sum to 1")
-            if len(rows) == len(rows[0]) and not single_closed_class(rows):
-                raise ConfigError("the transition matrix has several closed classes, "
-                                  "so its stationary law is not unique")
-    if cfg.kind == "counterexample":
-        for key in ("a0", "a1"):
-            if key not in cfg.system:
-                raise ConfigError(f"counterexample needs system.{key}")
+    if cfg.kind in SYSTEMS:
+        SYSTEMS[cfg.kind](cfg)
 
 
-def build_driving(cfg: RunConfig, n_symbols: int):
+def build_driving(cfg: RunConfig, n_symbols: int) -> cc.DrivingSystem:
     """The configured driving law over the system's `n_symbols` symbols
-    (uniform i.i.d. by default); a law of another size is a ConfigError."""
-    if cfg.driving.get("law", "iid") == "markov":
+    (uniform i.i.d. by default).  The law is `iid` with `probs`, one per
+    symbol, or `markov` with an `n_symbols`-square `transition`; the
+    probabilities and each transition row must be finite and nonnegative and
+    sum to 1 within 1e-9 (they are then normalised), and a Markov law must
+    have one closed class.  Anything else is a ConfigError."""
+    law = cfg.driving.get("law", "iid")
+    if law == "markov":
         if "transition" not in cfg.driving:
             raise ConfigError("markov driving needs a transition matrix")
-        t = np.asarray(parse_matrix(cfg.driving["transition"]))
-        if t.shape != (n_symbols, n_symbols):
+        rows = np.asarray(parse_matrix(cfg.driving["transition"]))
+        if rows.shape != (n_symbols, n_symbols):
             raise ConfigError(f"the transition matrix must be {n_symbols}x{n_symbols}: "
                               f"the system has {n_symbols} symbols")
-        return DrivingSystem.markov(t / t.sum(axis=1, keepdims=True), seed=cfg.seed)
-    probs = (parse_vector(cfg.driving["probs"]) if "probs" in cfg.driving
-             else [1.0 / n_symbols] * n_symbols)
-    if len(probs) != n_symbols:
-        raise ConfigError(f"probs has {len(probs)} entries: "
-                          f"the system has {n_symbols} symbols")
-    arr = np.asarray(probs)
-    return DrivingSystem.iid(arr / arr.sum(), seed=cfg.seed)
+    elif law == "iid":
+        rows = np.asarray([parse_vector(cfg.driving["probs"]) if "probs" in cfg.driving
+                           else [1.0 / n_symbols] * n_symbols])
+        if rows.shape[1] != n_symbols:
+            raise ConfigError(f"probs has {rows.shape[1]} entries: "
+                              f"the system has {n_symbols} symbols")
+    else:
+        raise ConfigError(f"unknown driving law {law!r}")
+    if not (np.all(np.isfinite(rows)) and np.all(rows >= 0)
+            and np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-9)):
+        raise ConfigError(f"{'each transition row' if law == 'markov' else 'probs'} "
+                          "must be finite and nonnegative and sum to 1")
+    rows = rows / rows.sum(axis=1, keepdims=True)
+    try:
+        if law == "markov":
+            return cc.DrivingSystem.markov(rows, seed=cfg.seed)
+        return cc.DrivingSystem.iid(rows[0], seed=cfg.seed)
+    except ValueError as exc:
+        raise ConfigError(f"invalid [driving] value: {exc}") from exc
+
+
+MAP_PRESETS = {
+    "doubling": iv.doubling_map,
+    "tripling": iv.tripling_map,
+    "tent": iv.tent_map,
+    "identity": iv.identity_map,
+}
+
+
+def _from_system(build, *args):
+    """build(*args), which constructs part of a system from [system] values
+    and computes nothing; a ValueError or DimensionMismatch it raises is a
+    ConfigError."""
+    try:
+        return build(*args)
+    except (ValueError, DimensionMismatch) as exc:
+        raise ConfigError(f"invalid [system] value: {exc}") from exc
+
+
+def _build_maps(cfg: RunConfig) -> list[iv.PiecewiseMap]:
+    maps = []
+    if "maps" in cfg.system:
+        for name in cfg.system["maps"].replace(",", " ").split():
+            name = name.strip()
+            if name.startswith("slope:"):
+                maps.append(iv.single_slope_map(float(name.split(":", 1)[1])))
+            elif name in MAP_PRESETS:
+                maps.append(MAP_PRESETS[name]())
+            else:
+                raise ConfigError(f"unknown map preset {name!r}")
+    idx = 0
+    while f"map.{idx}" in cfg.system:
+        rows = [row for row in
+                (parse_vector(part) for part in cfg.system[f"map.{idx}"].split(";")
+                 if part.strip())]
+        if any(len(row) != 4 for row in rows):
+            raise ConfigError(f"system.map.{idx} rows must be [a, b, slope, intercept]")
+        maps.append(iv.affine_map(rows))
+        idx += 1
+    if not maps:
+        raise ConfigError("interval run needs system.maps or system.map.N entries")
+    return maps
+
+
+def _cocycle_system(cfg: RunConfig):
+    if "matrices" not in cfg.system:
+        raise ConfigError("cocycle run needs system.matrices")
+    gen = _from_system(cc.Generator.from_list,
+                       [np.asarray(m) for m in parse_matrices(cfg.system["matrices"])])
+    return gen, build_driving(cfg, gen.alphabet_size)
+
+
+def _interval_system(cfg: RunConfig):
+    maps = _from_system(_build_maps, cfg)
+    return maps, build_driving(cfg, len(maps))
+
+
+def _sft_system(cfg: RunConfig):
+    if "amplitudes" not in cfg.system:
+        raise ConfigError("sft run needs system.amplitudes")
+    amps = parse_vector(cfg.system["amplitudes"])
+    if not all(map(math.isfinite, amps)):
+        raise ConfigError("amplitudes must be finite")
+    theta = _from_system(float, cfg.system.get("theta", 0.5))
+    _from_system(sf.Sft.full, 2, theta)
+    return amps, theta, build_driving(cfg, len(amps))
+
+
+def _counterexample_system(cfg: RunConfig):
+    for key in ("a0", "a1"):
+        if key not in cfg.system:
+            raise ConfigError(f"counterexample run needs system.{key}")
+    gen = _from_system(cc.Generator.from_list,
+                       [np.asarray(parse_matrix(cfg.system[key])) for key in ("a0", "a1")])
+    if np.any(np.abs(np.linalg.det(gen.stack)) < 1e-12):
+        raise ConfigError("counterexample generators a0 and a1 must be invertible")
+    return gen, build_driving(cfg, 2)
+
+
+# per kind, the system (with theta for sft) and driving law built from the
+# [system] and [driving] values; building computes nothing and raises
+# ConfigError for a bad value
+SYSTEMS = {
+    "cocycle": _cocycle_system,
+    "interval": _interval_system,
+    "sft": _sft_system,
+    "counterexample": _counterexample_system,
+}

@@ -12,100 +12,13 @@ from .. import cocycle as cc
 from .. import grassmann as _grassmann
 from .. import interval as iv
 from .. import sft as sf
-from ..errors import ConfigError, DimensionMismatch, NumericalFailure
+from ..errors import ConfigError, NumericalFailure
 from . import lemmas
-from .config import (
-    RunConfig,
-    build_driving,
-    parse_matrices,
-    parse_matrix,
-    parse_vector,
-    validate_config,
-)
-
-MAP_PRESETS = {
-    "doubling": iv.doubling_map,
-    "tripling": iv.tripling_map,
-    "tent": iv.tent_map,
-    "identity": iv.identity_map,
-}
-
-
-def _from_system(build, *args):
-    """build(*args), which constructs maps or matrices from [system] values
-    and computes nothing; a ValueError or DimensionMismatch it raises is a
-    ConfigError."""
-    try:
-        return build(*args)
-    except (ValueError, DimensionMismatch) as exc:
-        raise ConfigError(f"invalid [system] value: {exc}") from exc
-
-
-def _build_maps(cfg: RunConfig) -> list[iv.PiecewiseMap]:
-    maps = []
-    if "maps" in cfg.system:
-        for name in cfg.system["maps"].replace(",", " ").split():
-            name = name.strip()
-            if name.startswith("slope:"):
-                maps.append(iv.single_slope_map(float(name.split(":", 1)[1])))
-            elif name in MAP_PRESETS:
-                maps.append(MAP_PRESETS[name]())
-            else:
-                raise ConfigError(f"unknown map preset {name!r}")
-    idx = 0
-    while f"map.{idx}" in cfg.system:
-        rows = [row for row in
-                (parse_vector(part) for part in cfg.system[f"map.{idx}"].split(";")
-                 if part.strip())]
-        if any(len(row) != 4 for row in rows):
-            raise ConfigError(f"system.map.{idx} rows must be [a, b, slope, intercept]")
-        maps.append(iv.affine_map(rows))
-        idx += 1
-    if not maps:
-        raise ConfigError("interval run needs system.maps or system.map.N entries")
-    return maps
-
-
-def _cocycle_system(cfg: RunConfig):
-    if "matrices" not in cfg.system:
-        raise ConfigError("cocycle run needs system.matrices")
-    gen = _from_system(cc.Generator.from_list,
-                       [np.asarray(m) for m in parse_matrices(cfg.system["matrices"])])
-    return gen, build_driving(cfg, gen.alphabet_size)
-
-
-def _interval_system(cfg: RunConfig):
-    maps = _from_system(_build_maps, cfg)
-    return maps, build_driving(cfg, len(maps))
-
-
-def _sft_system(cfg: RunConfig):
-    if "amplitudes" not in cfg.system:
-        raise ConfigError("sft run needs system.amplitudes")
-    amps = parse_vector(cfg.system["amplitudes"])
-    return amps, build_driving(cfg, len(amps))
-
-
-def _counterexample_system(cfg: RunConfig):
-    gen = _from_system(cc.Generator.from_list,
-                       [np.asarray(parse_matrix(cfg.system[key])) for key in ("a0", "a1")])
-    if np.any(np.abs(np.linalg.det(gen.stack)) < 1e-12):
-        raise ConfigError("counterexample generators a0 and a1 must be invertible")
-    return gen, build_driving(cfg, 2)
-
-
-# per kind, the (system, driving law) built from [system] and [driving]
-# values; building computes nothing and raises ConfigError for a bad value
-SYSTEMS = {
-    "cocycle": _cocycle_system,
-    "interval": _interval_system,
-    "sft": _sft_system,
-    "counterexample": _counterexample_system,
-}
+from .config import SYSTEMS, RunConfig, validate_config
 
 
 def run_cocycle(cfg: RunConfig) -> dict:
-    gen, driving = _cocycle_system(cfg)
+    gen, driving = SYSTEMS["cocycle"](cfg)
     n_past = cfg.numeric("n_past", 200, int)
     n_future = cfg.numeric("n_future", 50, int)
     n = cfg.numeric("n", 10_000, int)
@@ -154,7 +67,7 @@ def _g_decay_series(gen, window, report, g_len) -> list[float]:
 
 
 def run_interval(cfg: RunConfig) -> dict:
-    maps, driving = _interval_system(cfg)
+    maps, driving = SYSTEMS["interval"](cfg)
     sys = iv.RandomIntervalSystem(tuple(maps), driving)
     k = cfg.numeric("k", 64, int)
     n_past = cfg.numeric("n_past", 200, int)
@@ -186,8 +99,7 @@ def run_interval(cfg: RunConfig) -> dict:
 
 
 def run_sft(cfg: RunConfig) -> dict:
-    theta = float(cfg.system.get("theta", 0.5))
-    amps, driving = _sft_system(cfg)
+    amps, theta, driving = SYSTEMS["sft"](cfg)
     n = cfg.numeric("n", 100_000, int)
     example = sf.antisymmetric_example(amps, driving, theta=theta, n=n)
     n_ic = cfg.numeric("n_ic", 3, int)
@@ -228,7 +140,7 @@ def run_sft(cfg: RunConfig) -> dict:
 
 
 def run_counterexample(cfg: RunConfig) -> dict:
-    gen, driving = _counterexample_system(cfg)
+    gen, driving = SYSTEMS["counterexample"](cfg)
     n_pairs = cfg.numeric("n_pairs", 50, int)
     past_length = cfg.numeric("past_length", 100, int)
     future_length = cfg.numeric("future_length", 20, int)
@@ -322,8 +234,6 @@ def _apply_point(cfg: RunConfig, point: dict[str, str], index: int) -> RunConfig
         else:
             raise ConfigError(f"unknown grid section {section!r}")
     validate_config(out)
-    if out.kind in SYSTEMS:
-        SYSTEMS[out.kind](out)
     return out
 
 

@@ -17,6 +17,7 @@ from oseledets.harness import records as rec
 from oseledets.harness import runner
 from oseledets.harness.cli import main
 from oseledets.harness.config import (
+    _build_maps,
     build_driving,
     load_config,
     parse_matrices,
@@ -111,6 +112,13 @@ def test_config_rejects_bad_theta(tmp_path):
     path = write_cfg(tmp_path, "[run]\nkind = sft\nseed = 1\n\n"
                                "[system]\ntheta = -0.5\namplitudes = 0.8\n")
     with pytest.raises(ConfigError):
+        load_config(path)
+
+
+def test_load_config_builds_the_system(tmp_path):
+    # a config that loads is one that can be built: the map's image leaves [0, 1]
+    path = write_cfg(tmp_path, INTERVAL_CFG.replace("maps = doubling", "maps = slope:2"))
+    with pytest.raises(ConfigError, match="invalid \\[system\\] value"):
         load_config(path)
 
 
@@ -536,11 +544,20 @@ TWO_MATRIX_CFG = COCYCLE_CFG.replace("[[2, 0], [0, 0.5]]",
     (["sweep", "--grid", "kk=1,2"], INTERVAL_CFG),
     (["run"], SFT_CFG + "k = 8\n"),
     (["run"], COUNTER_CFG + "n_past = 10\n"),
+    # probabilities and transition rows must be finite
+    (["run"], TWO_MATRIX_CFG + "\n[driving]\nprobs = nan, 1\n"),
+    (["run"], TWO_MATRIX_CFG
+     + "\n[driving]\nlaw = markov\ntransition = [[0.5, 0.5], [nan, 1]]\n"),
+    # tolerances must be finite
+    (["run"], COCYCLE_CFG + "convergence_tolerance = inf\n"),
+    (["run"], COCYCLE_CFG + "gap_tolerance = inf\n"),
 ], ids=["transition-row-sum", "transition-negative", "n", "n_past", "k", "n_ic",
         "m_proj", "ly_samples", "n_pairs", "sweep-k", "cocycle-n_past-1",
         "sweep-interval-n_past-1", "sweep-repeated-key", "sweep-aliased-key",
         "sweep-empty-key", "sweep-empty-name", "sweep-empty-section",
-        "sweep-unread-key", "sft-unread-k", "counterexample-unread-n_past"])
+        "sweep-unread-key", "sft-unread-k", "counterexample-unread-n_past",
+        "probs-not-finite", "transition-not-finite", "convergence-tolerance-inf",
+        "gap-tolerance-inf"])
 def test_cli_out_of_range_config_is_config_error(tmp_path, capsys, argv, text):
     out_path = tmp_path / "rec.ndjson"
     assert main([*argv, "--config", write_cfg(tmp_path, text), "--out", str(out_path)]) == 2
@@ -560,9 +577,14 @@ def test_cli_out_of_range_config_is_config_error(tmp_path, capsys, argv, text):
     (["run"], "[run]\nkind = lemma-suite\nseed = 1\n\n[system]\nmatrices = [[2]]\n"),
     (["run"], "[run]\nkind = lemma-suite\nseed = 1\n\n[driving]\nlaw = iid\n"),
     (["run"], TWO_MATRIX_CFG + "\n[driving]\nlaw = markov\nrows = [[0.5, 0.5], [0.5, 0.5]]\n"),
+    # each law reads only its own parameters
+    (["run"], TWO_MATRIX_CFG + "\n[driving]\nlaw = markov\nprobs = 0.9, 0.1\n"
+     "transition = [[0.5, 0.5], [0.5, 0.5]]\n"),
+    (["run"], TWO_MATRIX_CFG + "\n[driving]\nlaw = iid\n"
+     "transition = [[0.5, 0.5], [-0.5, 1.5]]\n"),
 ], ids=["sweep-system-mapz", "sweep-driving-lawz", "interval-matrices", "interval-map-gap",
         "cocycle-theta", "sft-maps", "counterexample-amplitudes", "lemma-system",
-        "lemma-driving", "cocycle-driving-rows"])
+        "lemma-driving", "cocycle-driving-rows", "markov-probs", "iid-transition"])
 def test_cli_unread_system_and_driving_keys_are_config_errors(tmp_path, capsys, argv, text):
     out_path = tmp_path / "rec.ndjson"
     assert main([*argv, "--config", write_cfg(tmp_path, text), "--out", str(out_path)]) == 2
@@ -585,9 +607,12 @@ def test_cli_unread_system_and_driving_keys_are_config_errors(tmp_path, capsys, 
     COCYCLE_CFG.replace("[[2, 0], [0, 0.5]]", "[[1, 2, 3], [4, 5, 6]]"),
     COUNTER_CFG.replace("a1 = [[0, 0.3333333333333333], [3, 0]]",
                         "a1 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]"),
+    SFT_CFG.replace("amplitudes = 0.8", "amplitudes = nan"),
+    SFT_CFG.replace("amplitudes = 0.8", "amplitudes = 0.8, inf"),
 ], ids=["map-row-length", "map-domains-short", "map-image-leaves", "map-domain-leaves",
         "slope-zero", "slope-image-leaves", "slope-not-a-number", "matrix-not-finite",
-        "counterexample-singular", "matrix-not-square", "counterexample-sizes-differ"])
+        "counterexample-singular", "matrix-not-square", "counterexample-sizes-differ",
+        "amplitude-nan", "amplitude-inf"])
 def test_cli_invalid_system_values_are_config_errors(tmp_path, capsys, text):
     out_path = tmp_path / "rec.ndjson"
     assert main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out_path)]) == 2
@@ -619,9 +644,9 @@ def test_read_system_keys_are_accepted(tmp_path):
     text = INTERVAL_CFG.replace("maps = doubling",
                                 "map.0 = [0, 0.5, 2, 0] ; [0.5, 1, 2, -1]\n"
                                 "map.1 = [0, 1, 0.5, 0.25]")
-    text += "\n[driving]\nlaw = iid\nprobs = 0.5, 0.5\ntransition = [[0.5, 0.5], [0.5, 0.5]]\n"
+    text += "\n[driving]\nlaw = iid\nprobs = 0.5, 0.5\n"
     cfg = load_config(write_cfg(tmp_path, text))
-    assert set(cfg.system) == {"map.0", "map.1"} and len(runner._build_maps(cfg)) == 2
+    assert set(cfg.system) == {"map.0", "map.1"} and len(_build_maps(cfg)) == 2
     for base in (COCYCLE_CFG, SFT_CFG, COUNTER_CFG):
         load_config(write_cfg(tmp_path, base))
 
