@@ -22,18 +22,21 @@ Grammar (UTF-8, parsed with configparser):
     a1 = [[0, 0.3333333333333333], [3, 0]]
 
     [numerics]
-    n = 100000                    # integers and floats as usual
+    n = 10000                     # integers and floats as usual
     n_past = 200
     ...
 
 Each kind accepts only the [numerics], [system] and [driving] keys it (or its
-driving law) reads (`NUMERICS_KEYS`, `SYSTEM_KEYS`, `DRIVING_KEYS`).
+driving law) reads (`NUMERICS`, `SYSTEM_KEYS`, `DRIVING_KEYS`).
 Matrices are bracketed row lists; several matrices are separated by ';'.
-`validate_config` checks those keys and the [numerics] values (every
-tolerance finite and positive, every count at least its `COUNT_MINIMA`), then
-builds the system and driving law (`SYSTEMS`), which checks every [system]
-and [driving] value; so a loaded config is one that can be built.  The seed
-must be given explicitly: runs never draw entropy from the environment.
+`validate_config` checks those keys, resolves each [numerics] value from the
+`NUMERICS` table (the key's default where unset; every tolerance finite and
+positive, every count an int at least its least value), then builds the
+system and driving law (`SYSTEMS`), which checks every [system] and [driving]
+value.  It returns the values and the system together; `load_config` keeps
+them on the config as `built`, which the runner reads, so a loaded config is
+one that has been built, once.  The seed must be given explicitly: runs never
+draw entropy from the environment.
 """
 
 from __future__ import annotations
@@ -52,19 +55,21 @@ from .. import sft as sf
 from ..errors import ConfigError, DimensionMismatch
 
 KINDS = ("cocycle", "interval", "sft", "counterexample", "lemma-suite")
-# smallest allowed value of each integer count in [numerics]; only cocycle
-# and interval runs read n_past, and their splitting's convergence check
-# compares against half the past
-COUNT_MINIMA = {"n": 1, "k": 1, "n_ic": 1, "m_proj": 1, "n_pairs": 1, "ly_samples": 1,
-                "n_past": 2, "n_future": 0, "g_len": 0, "ic_samples": 0,
-                "past_length": 0, "future_length": 0}
-# the [numerics] keys a run of each kind reads; any other key is an error
-NUMERICS_KEYS = {
-    "cocycle": {"n", "n_past", "n_future", "g_len", "gap_tolerance", "convergence_tolerance"},
-    "interval": {"k", "n_past", "n_future"},
-    "sft": {"n", "n_ic", "m_proj", "ic_samples", "ly_samples"},
-    "counterexample": {"n_pairs", "past_length", "future_length", "gap_tolerance"},
-    "lemma-suite": set(),
+# per kind, each [numerics] key the run reads with its default and least
+# value; any other key is an error.  A count (int default) is an int at least
+# its least value, a tolerance (float default) a finite float above it.  A
+# default that names a key is that key's value.  n_past is at least 2: the
+# splitting's convergence check compares against half the past.
+NUMERICS = {
+    "cocycle": {"n": (10_000, 1), "n_past": (200, 2), "n_future": (50, 0), "g_len": (20, 0),
+                "gap_tolerance": (cc.GAP_TOLERANCE, 0.0),
+                "convergence_tolerance": (cc.CONVERGENCE_TOLERANCE, 0.0)},
+    "interval": {"k": (64, 1), "n_past": (200, 2), "n_future": (50, 0)},
+    "sft": {"n": (100_000, 1), "n_ic": (3, 1), "m_proj": ("n_ic", 1), "ic_samples": (100, 0),
+            "ly_samples": (25, 1)},
+    "counterexample": {"n_pairs": (50, 1), "past_length": (100, 0), "future_length": (20, 0),
+                       "gap_tolerance": (cc.GAP_TOLERANCE, 0.0)},
+    "lemma-suite": {},
 }
 # the [system] keys a run of each kind reads (interval runs also read map.0,
 # map.1, ... up to the first missing index), and the [driving] keys each law
@@ -130,6 +135,9 @@ class RunConfig:
     system: dict = field(default_factory=dict)
     driving: dict = field(default_factory=dict)
     numerics: dict = field(default_factory=dict)
+    # (numerics, system) from `validate_config`, which `load_config` and each
+    # sweep point set and the runner reads
+    built: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def digest(self) -> str:
         payload = json.dumps(
@@ -137,14 +145,6 @@ class RunConfig:
              "driving": self.driving, "numerics": self.numerics},
             sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-    def numeric(self, key: str, default, cast=float):
-        if key not in self.numerics:
-            return default
-        try:
-            return cast(self.numerics[key])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad numeric value for {key}") from exc
 
 
 def _section(cp: configparser.ConfigParser, name: str) -> dict:
@@ -183,14 +183,16 @@ def load_config(path: str, seed_override: int | None = None,
                     system=_section(cp, "system"),
                     driving=_section(cp, "driving"),
                     numerics=_section(cp, "numerics"))
-    validate_config(cfg)
+    cfg.built = validate_config(cfg)
     return cfg
 
 
-def validate_config(cfg: RunConfig) -> None:
-    """Check that the run reads every [numerics], [system] and [driving] key
-    and that each [numerics] value is in range, then build the system and its
-    driving law, which checks every [system] and [driving] value."""
+def validate_config(cfg: RunConfig) -> tuple[dict, tuple]:
+    """Check that the run reads every [numerics], [system] and [driving] key,
+    resolve each [numerics] value from `NUMERICS`, then build the system and
+    its driving law, which checks every [system] and [driving] value.  Return
+    the values of every [numerics] key the kind reads (defaults included) and
+    what `SYSTEMS` builds (nothing for a lemma-suite run)."""
     kind, law = f"kind {cfg.kind}", cfg.driving.get("law", "iid")
     system, i = set(SYSTEM_KEYS[cfg.kind]), 0
     while cfg.kind == "interval" and f"map.{i}" in cfg.system:
@@ -201,20 +203,26 @@ def validate_config(cfg: RunConfig) -> None:
     law_reader, driving = ((f"law {law}", DRIVING_KEYS.get(law, set(cfg.driving)))
                            if cfg.kind in SYSTEMS else (kind, set()))
     for reader, section, keys, read in (
-            (kind, "numerics", cfg.numerics, NUMERICS_KEYS[cfg.kind]),
+            (kind, "numerics", cfg.numerics, NUMERICS[cfg.kind]),
             (kind, "system", cfg.system, system),
             (law_reader, "driving", cfg.driving, driving)):
-        unread = sorted(set(keys) - read)
+        unread = sorted(set(keys) - set(read))
         if unread:
             raise ConfigError(f"{reader} reads no [{section}] key {', '.join(unread)}")
-    for key in cfg.numerics:
-        if "tolerance" in key and not 0.0 < cfg.numeric(key, None) < math.inf:
+    numerics = {}
+    for key, (default, low) in NUMERICS[cfg.kind].items():
+        if isinstance(default, str):
+            default = numerics[default]
+        try:
+            value = type(default)(cfg.numerics.get(key, default))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad numeric value for {key}") from exc
+        if isinstance(value, float) and not low < value < math.inf:
             raise ConfigError(f"tolerance {key} must be finite and positive")
-    for key, low in COUNT_MINIMA.items():
-        if cfg.numeric(key, low, int) < low:
+        if value < low:
             raise ConfigError(f"{key} must be at least {low}")
-    if cfg.kind in SYSTEMS:
-        SYSTEMS[cfg.kind](cfg)
+        numerics[key] = value
+    return numerics, SYSTEMS[cfg.kind](cfg) if cfg.kind in SYSTEMS else ()
 
 
 def build_driving(cfg: RunConfig, n_symbols: int) -> cc.DrivingSystem:

@@ -3,6 +3,7 @@ modules and flatten the outcome into a result record."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import time
 
@@ -14,27 +15,23 @@ from .. import interval as iv
 from .. import sft as sf
 from ..errors import ConfigError, NumericalFailure
 from . import lemmas
-from .config import SYSTEMS, RunConfig, validate_config
+from .config import RunConfig, validate_config
 
 
 def run_cocycle(cfg: RunConfig) -> dict:
-    gen, driving = SYSTEMS["cocycle"](cfg)
-    n_past = cfg.numeric("n_past", 200, int)
-    n_future = cfg.numeric("n_future", 50, int)
-    n = cfg.numeric("n", 10_000, int)
-    g_len = cfg.numeric("g_len", 20, int)
-    gap_tol = cfg.numeric("gap_tolerance", cc.GAP_TOLERANCE)
-    conv_tol = cfg.numeric("convergence_tolerance", cc.CONVERGENCE_TOLERANCE)
+    num, (gen, driving) = cfg.built
+    n_past, n_future, g_len = num["n_past"], num["n_future"], num["g_len"]
+    gap_tol = num["gap_tolerance"]
     window = driving.sample_window(n_past, n_future + g_len)
     report = cc.oseledets_splitting(
         gen, None, window, n_past=n_past, n_future=n_future,
-        gap_tolerance=gap_tol, convergence_tolerance=conv_tol)
-    exps = cc.lyapunov_exponents(gen, driving, n=n, gap_tolerance=gap_tol)
+        gap_tolerance=gap_tol, convergence_tolerance=num["convergence_tolerance"])
+    exps = cc.lyapunov_exponents(gen, driving, n=num["n"], gap_tolerance=gap_tol)
     g_decay = _g_decay_series(gen, window, report, g_len)
     return {
         "kind": "cocycle",
         "m": gen.dim,
-        "n": n,
+        "n": num["n"],
         "n_past": n_past,
         "n_future": n_future,
         "exponents": [lam for lam, _ in exps],
@@ -67,11 +64,9 @@ def _g_decay_series(gen, window, report, g_len) -> list[float]:
 
 
 def run_interval(cfg: RunConfig) -> dict:
-    maps, driving = SYSTEMS["interval"](cfg)
+    num, (maps, driving) = cfg.built
     sys = iv.RandomIntervalSystem(tuple(maps), driving)
-    k = cfg.numeric("k", 64, int)
-    n_past = cfg.numeric("n_past", 200, int)
-    n_future = cfg.numeric("n_future", 50, int)
+    k, n_past, n_future = num["k"], num["n_past"], num["n_future"]
     acim = iv.random_acim(sys, None, k=k, n_past=n_past, n_future=n_future)
     density = acim.densities[0]
     # refinement diagnostic: L1 distance against half the bin count
@@ -99,19 +94,16 @@ def run_interval(cfg: RunConfig) -> dict:
 
 
 def run_sft(cfg: RunConfig) -> dict:
-    amps, theta, driving = SYSTEMS["sft"](cfg)
-    n = cfg.numeric("n", 100_000, int)
-    example = sf.antisymmetric_example(amps, driving, theta=theta, n=n)
-    n_ic = cfg.numeric("n_ic", 3, int)
-    m_proj = cfg.numeric("m_proj", n_ic, int)
+    num, (amps, theta, driving) = cfg.built
+    example = sf.antisymmetric_example(amps, driving, theta=theta, n=num["n"])
+    n_ic = num["n_ic"]
     word = driving.sample_window(0, n_ic, stream=0).future
     weights = [example.weights[s] for s in word]
-    sandwich = sf.norm_and_ic_bounds(example.sft, weights, n_ic, m_proj,
-                                     n_samples=cfg.numeric("ic_samples", 100, int),
-                                     seed=cfg.seed)
+    sandwich = sf.norm_and_ic_bounds(example.sft, weights, n_ic, num["m_proj"],
+                                     n_samples=num["ic_samples"], seed=cfg.seed)
     rng = np.random.default_rng([cfg.seed, 7])
     samples = []
-    for _ in range(cfg.numeric("ly_samples", 25, int)):
+    for _ in range(num["ly_samples"]):
         depth = int(rng.integers(1, 6))
         samples.append(sf.CylinderFunction(
             example.sft, depth,
@@ -122,7 +114,7 @@ def run_sft(cfg: RunConfig) -> dict:
     return {
         "kind": "sft",
         "theta": theta,
-        "n": n,
+        "n": num["n"],
         "amplitudes": amps,
         "lambda1": example.lambda1,
         "lambda2": example.lambda2,
@@ -140,18 +132,15 @@ def run_sft(cfg: RunConfig) -> dict:
 
 
 def run_counterexample(cfg: RunConfig) -> dict:
-    gen, driving = SYSTEMS["counterexample"](cfg)
-    n_pairs = cfg.numeric("n_pairs", 50, int)
-    past_length = cfg.numeric("past_length", 100, int)
-    future_length = cfg.numeric("future_length", 20, int)
-    windows = driving.sample_past_variants(n_pairs, past_length, future_length)
+    num, (gen, driving) = cfg.built
+    windows = driving.sample_past_variants(num["n_pairs"], num["past_length"],
+                                           num["future_length"])
     demo = cc.noncommuting_base_demo(*gen.matrices, windows,
-                                     gap_tolerance=cfg.numeric(
-                                         "gap_tolerance", cc.GAP_TOLERANCE))
+                                     gap_tolerance=num["gap_tolerance"])
     return {
         "kind": "counterexample",
-        "n_pairs": n_pairs,
-        "past_length": past_length,
+        "n_pairs": num["n_pairs"],
+        "past_length": num["past_length"],
         "max_gap": demo.max_gap,
         "gaps": [g for _, g in demo.gaps],
         "commutator_norm": demo.commutator_norm,
@@ -168,7 +157,8 @@ RUNNERS = {
 
 
 def run(cfg: RunConfig) -> dict:
-    """Dispatch one run; numerical failures are recorded, not raised."""
+    """Dispatch one run of a config from `load_config` (or a sweep point),
+    whose system is built; numerical failures are recorded, not raised."""
     started = time.monotonic()
     base = {"kind": cfg.kind, "seed": cfg.seed, "config_digest": cfg.digest()}
     try:
@@ -219,21 +209,14 @@ def parse_grid(specs: list[str]) -> list[tuple[str, list[str]]]:
 
 
 def _apply_point(cfg: RunConfig, point: dict[str, str], index: int) -> RunConfig:
-    import copy
-
-    out = copy.deepcopy(cfg)
-    out.seed = cfg.seed ^ index
+    sections = {name: dict(getattr(cfg, name)) for name in ("system", "driving", "numerics")}
     for key, value in point.items():
         section, name = _grid_target(key)
-        if section == "numerics":
-            out.numerics[name] = value
-        elif section == "system":
-            out.system[name] = value
-        elif section == "driving":
-            out.driving[name] = value
-        else:
+        if section not in sections:
             raise ConfigError(f"unknown grid section {section!r}")
-    validate_config(out)
+        sections[section][name] = value
+    out = dataclasses.replace(cfg, seed=cfg.seed ^ index, **sections)
+    out.built = validate_config(out)
     return out
 
 

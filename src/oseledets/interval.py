@@ -16,6 +16,7 @@ densities obtained by feeding Ulam cocycles to the splitting machinery.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -49,6 +50,9 @@ class Branch:
     dfn: Callable[[float], float] | None = None
 
     def __post_init__(self):
+        affine = (self.slope, self.intercept) if self.is_affine else ()
+        if not all(map(math.isfinite, (self.a, self.b, *affine))):
+            raise ValueError("branch endpoints, slope and intercept must be finite")
         if not self.b > self.a:
             raise ValueError("branch domain must have positive length")
         if self.is_affine:

@@ -12,11 +12,12 @@ import pytest
 from oseledets import cocycle as cc
 from oseledets import sft as sf
 from oseledets.errors import ConfigError, UnknownField
-from oseledets.harness import lemmas
+from oseledets.harness import config, lemmas
 from oseledets.harness import records as rec
 from oseledets.harness import runner
 from oseledets.harness.cli import main
 from oseledets.harness.config import (
+    NUMERICS,
     _build_maps,
     build_driving,
     load_config,
@@ -609,10 +610,14 @@ def test_cli_unread_system_and_driving_keys_are_config_errors(tmp_path, capsys, 
                         "a1 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]"),
     SFT_CFG.replace("amplitudes = 0.8", "amplitudes = nan"),
     SFT_CFG.replace("amplitudes = 0.8", "amplitudes = 0.8, inf"),
+    # non-finite map coefficients: not a weak expansion or a failed quadrature
+    INTERVAL_CFG.replace("maps = doubling", "maps = slope:nan"),
+    INTERVAL_CFG.replace("maps = doubling", "map.0 = [0, 1, nan, 0]"),
+    INTERVAL_CFG.replace("maps = doubling", "maps = slope:inf"),
 ], ids=["map-row-length", "map-domains-short", "map-image-leaves", "map-domain-leaves",
         "slope-zero", "slope-image-leaves", "slope-not-a-number", "matrix-not-finite",
         "counterexample-singular", "matrix-not-square", "counterexample-sizes-differ",
-        "amplitude-nan", "amplitude-inf"])
+        "amplitude-nan", "amplitude-inf", "slope-nan", "map-slope-nan", "slope-inf"])
 def test_cli_invalid_system_values_are_config_errors(tmp_path, capsys, text):
     out_path = tmp_path / "rec.ndjson"
     assert main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out_path)]) == 2
@@ -649,6 +654,68 @@ def test_read_system_keys_are_accepted(tmp_path):
     assert set(cfg.system) == {"map.0", "map.1"} and len(_build_maps(cfg)) == 2
     for base in (COCYCLE_CFG, SFT_CFG, COUNTER_CFG):
         load_config(write_cfg(tmp_path, base))
+
+
+def _readme_numerics_defaults() -> dict:
+    """{kind: {key: default}} from the comment block under `[numerics]` in
+    the README's configuration example."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text(encoding="utf-8").split("\n[numerics]\n", 1)[1]
+    defaults, keys = {}, None
+    for line in itertools.takewhile(lambda line: line.startswith("#"), block.splitlines()):
+        head, colon, body = line[1:].partition(":")
+        if colon:
+            keys = defaults.setdefault(head.strip(), {})
+        for item in filter(str.strip, (body if colon else head).split(",")):
+            key, value = (part.strip() for part in item.split("="))
+            for cast in (int, float, str):
+                try:
+                    keys[key] = cast(value)
+                    break
+                except ValueError:
+                    pass
+    return defaults
+
+
+def test_readme_numerics_defaults_match_the_table():
+    table = {kind: {key: (type(default), default) for key, (default, _) in keys.items()}
+             for kind, keys in NUMERICS.items() if keys}
+    readme = {kind: {key: (type(value), value) for key, value in keys.items()}
+              for kind, keys in _readme_numerics_defaults().items()}
+    assert readme == table
+
+
+@pytest.mark.parametrize("text", [COCYCLE_CFG, INTERVAL_CFG, SFT_CFG, COUNTER_CFG],
+                         ids=["cocycle", "interval", "sft", "counterexample"])
+def test_runs_without_numerics_use_the_table_defaults(tmp_path, text):
+    cfg = load_config(write_cfg(tmp_path, text.split("[numerics]")[0]))
+    assert cfg.numerics == {}
+    record = runner.run(cfg)
+    assert record["status"] == "ok"
+    counts = [key for key in ("n", "k", "n_past", "n_future", "n_pairs", "past_length")
+              if key in record]
+    assert counts
+    assert {key: record[key] for key in counts} == {
+        key: NUMERICS[cfg.kind][key][0] for key in counts}
+
+
+def test_a_run_builds_its_system_once_and_a_sweep_once_per_point_and_base(
+        tmp_path, monkeypatch, workloads):
+    builds = []
+    for kind, build in config.SYSTEMS.items():
+        monkeypatch.setitem(config.SYSTEMS, kind,
+                            lambda cfg, _build=build: builds.append(cfg.kind) or _build(cfg))
+    out_path = str(tmp_path / "rec.ndjson")
+    for name in ("COCYCLE_CFG", "INTERVAL_CFG", "SFT_CFG", "COUNTER_CFG"):
+        builds.clear()
+        assert main(["run", "--config", write_cfg(tmp_path, globals()[name]),
+                     "--out", out_path]) == 0
+        assert len(builds) == 1, name
+    # the benchmark's 6-point interval sweep: the base config and each point
+    sweep = workloads.WORKLOADS["interval-sweep"]
+    builds.clear()
+    assert main(sweep.argv(write_cfg(tmp_path, sweep.config(0)), out_path)) == 0
+    assert builds == ["interval"] * 7
 
 
 @pytest.mark.parametrize("transition", [
