@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import copysign, isfinite, sqrt
 from typing import Sequence
 
@@ -31,7 +31,7 @@ from .errors import (
     RestrictedSingular,
     WindowTooShort,
 )
-from .grassmann import Subspace, gap, project_off
+from .grassmann import DIRECT_SUM_MIN_SV, Subspace, gap, project_off
 
 GAP_TOLERANCE = 1e-3
 CONVERGENCE_TOLERANCE = 1e-6
@@ -49,22 +49,32 @@ CHUNK = 4096  # uniforms or steps per block where one pass would need n-long tem
 # driving and windows
 # ---------------------------------------------------------------------------
 
+def reachability(pattern) -> np.ndarray:
+    """reach[i, j]: state j is reachable from state i (i included) along the
+    positive entries of the square `pattern`, the closure (I + (pattern > 0))
+    squared until it stops changing."""
+    reach = np.eye(len(pattern), dtype=bool) | (np.asarray(pattern) > 0)
+    while not np.array_equal(reach, closer := reach @ reach):
+        reach = closer
+    return reach
+
+
 def single_closed_class(transition) -> bool:
-    """Whether the zero pattern of a square transition matrix has exactly one
-    closed communicating class, that is, one stationary law.  A state is
-    recurrent when every state it reaches reaches it back, and then the
-    states it reaches are its closed class."""
-    succ = [[j for j, p in enumerate(row) if p > 0] for row in transition]
-    reach = []
-    for i in range(len(succ)):  # the states reachable from i, i included
-        seen, todo = {i}, [i]
-        while todo:
-            new = set(succ[todo.pop()]) - seen
-            seen |= new
-            todo += new
-        reach.append(seen)
-    classes = {frozenset(r) for i, r in enumerate(reach) if all(i in reach[j] for j in r)}
-    return len(classes) == 1
+    """Whether a square transition matrix's zero pattern has one closed class
+    (one stationary law): as every state reaches a closed class and closed
+    classes are disjoint, exactly when some state is reachable from every state."""
+    return bool(reachability(transition).all(axis=0).any())
+
+
+def _check_transition(t: np.ndarray) -> None:
+    """ValueError unless `t` is square and row stochastic (finite,
+    nonnegative, each row summing to 1 within 1e-12) with one closed class."""
+    if not (t.ndim == 2 and t.shape[0] == t.shape[1] and np.all(t >= 0)
+            and np.all(np.abs(t.sum(axis=1) - 1.0) <= 1e-12)):
+        raise ValueError("transition matrix must be square, finite and row stochastic")
+    if not single_closed_class(t):
+        raise ValueError("transition matrix has several closed classes, "
+                         "so its stationary law is not unique")
 
 
 @dataclass(frozen=True)
@@ -81,20 +91,16 @@ class DrivingSystem:
     def __post_init__(self):
         if self.law == "markov":
             t = np.asarray(self.transition, dtype=float)
-            if t.shape != (self.alphabet_size, self.alphabet_size):
+            _check_transition(t)
+            if len(t) != self.alphabet_size:
                 raise ValueError("transition matrix has wrong shape")
-            if np.any(t < 0) or np.max(np.abs(t.sum(axis=1) - 1.0)) > 1e-12:
-                raise ValueError("transition matrix must be row stochastic")
-            if not single_closed_class(t):
-                raise ValueError("transition matrix has several closed classes, "
-                                 "so its stationary law is not unique")
         elif self.law != "iid":
             raise ValueError(f"unknown law {self.law!r}")
         p = np.asarray(self.probs, dtype=float)
         if len(p) != self.alphabet_size:
             raise ValueError("law size does not match alphabet size")
-        if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError("probabilities must be nonnegative and sum to 1")
+        if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-12):
+            raise ValueError("probabilities must be finite and nonnegative and sum to 1")
         if self.law == "markov" and np.max(np.abs(p @ t - p)) > 1e-10:
             raise ValueError("stationary vector is not a fixed left eigenvector")
 
@@ -107,6 +113,7 @@ class DrivingSystem:
     @classmethod
     def markov(cls, transition: Sequence[Sequence[float]], seed: int) -> "DrivingSystem":
         t = np.asarray(transition, dtype=float)
+        _check_transition(t)
         evals, evecs = np.linalg.eig(t.T)
         k = int(np.argmin(np.abs(evals - 1.0)))
         pi = np.real(evecs[:, k])
@@ -672,6 +679,17 @@ def _start_frame(m: int, width: int, lead: np.ndarray | None = None) -> np.ndarr
     return _qr_pos(g)[0]
 
 
+def _direct_sum_min_sv(f: np.ndarray, w: np.ndarray) -> float:
+    """σ_min of [F, V] for m×c frames f (F) and w, V an orthonormal basis of
+    span(w)^⊥, without an m×m matrix.  In the orthonormal basis [W, V] the
+    matrix is [[WᵀF, 0], [VᵀF, I]], whose singular values are those of
+    [[WᵀF, 0], [R, I]] with RᵀR = Fᵀ(I - WWᵀ)F, plus ones."""
+    c = w.shape[1]
+    r = np.linalg.qr(f - w @ (w.T @ f), mode="r")
+    small = np.block([[w.T @ f, np.zeros((c, c))], [r, np.eye(c)]])
+    return float(np.linalg.svd(small, compute_uv=False)[-1])
+
+
 def oseledets_splitting(
     gen: Generator,
     driving: DrivingSystem | None = None,
@@ -809,14 +827,7 @@ def oseledets_splitting(
         raise NonConvergence(
             f"splitting Cauchy gap {worst:.3e} exceeds {convergence_tolerance:.3e}")
 
-    # σ_min of [F, V_{p+1}], F = [E_1 ... E_p]: in the orthonormal basis
-    # [W, V_{p+1}] it is [[WᵀF, 0], [VᵀF, I]], whose singular values are
-    # those of [[WᵀF, 0], [R, I]] with RᵀR = Fᵀ(I - WWᵀ)F, plus ones
     f, w = np.hstack([e.frame for e in splitting]), w0[:, :c_p]
-    r = np.linalg.qr(f - w @ (w.T @ f), mode="r")
-    small = np.block([[w.T @ f, np.zeros((c_p, c_p))], [r, np.eye(c_p)]])
-    min_sv = float(np.linalg.svd(small, compute_uv=False)[-1])
-
     return SpectrumReport(
         exponents=exponents,
         multiplicities=mults,
@@ -825,7 +836,7 @@ def oseledets_splitting(
         equivariance=tuple(equiv),
         uniqueness_g0=tuple(g0),
         cauchy_gap=tuple(cauchy),
-        direct_sum_min_sv=min_sv,
+        direct_sum_min_sv=_direct_sum_min_sv(f, w),
         n_used=n_future,
         n_past_used=n_past,
         gap_tolerance=gap_tolerance,
@@ -971,13 +982,11 @@ def uniqueness_diagnostic(
         raise ValueError(f"block index {i} out of range 1..{report.p}")
     c_i = report.block_ends[i - 1]
     c_prev = 0 if i == 1 else report.block_ends[i - 2]
-    m = gen.dim
-    if c_i >= m:
+    if c_i >= gen.dim:
         raise ValueError("the last block has no complementary filtration space")
     if candidate.d != report.multiplicities[i - 1]:
         raise NotComplementary("candidate dimension does not match the block")
-    tail = report.n_used
-    n_past = report.n_past_used
+    tail, n_past = report.n_used, report.n_past_used
     n_total = n_past + n + tail
     mats = gen.stack
 
@@ -986,7 +995,7 @@ def uniqueness_diagnostic(
     _, steps, rev = _propagate(mats, window.symbols(-n_past, n + tail), reverse=True,
                                record={n_total, *range(tail, n + tail + 1)})
     u_far, _ = _sorted_columns(rev[n_total], steps, _default_burn(n_total))
-    _, _, fw = _propagate(mats, window.symbols(-n_past, n), u_far,
+    _, _, fw = _propagate(mats, window.symbols(-n_past, n), u_far[:, :c_i],
                           record=range(n_past, n_past + n + 1))
     # the candidate's pushes; a step collapses it when its smallest
     # |diag R| is below 1e-12 * max(1, largest |diag R|)
@@ -999,16 +1008,13 @@ def uniqueness_diagnostic(
     for k in range(n + 1):
         qk = fw[n_past + k]
         t = n + tail - k
-        wk, _ = _sorted_columns(rev[t], steps[:t])
+        wk = _sorted_columns(rev[t], steps[:t])[0][:, :c_i]
         cand = cands[k]
         # the candidate must complement V_{i+1} within V_i: together with the
         # faster blocks it has to span the whole space
-        check = np.hstack([qk[:, :c_prev], cand, wk[:, c_i:]])
-        sv = np.linalg.svd(check, compute_uv=False)
-        if check.shape[1] != m or sv[-1] < 1e-10:
-            raise NotComplementary(
-                f"candidate at step {k} fails the direct-sum precondition")
-        out[k] = np.linalg.norm(project_off(qk[:, :c_i], wk[:, :c_i], cand), 2)
+        if _direct_sum_min_sv(np.hstack([qk[:, :c_prev], cand]), wk) < DIRECT_SUM_MIN_SV:
+            raise NotComplementary(f"candidate at step {k} fails the direct-sum precondition")
+        out[k] = np.linalg.norm(project_off(qk, wk, cand), 2)
         if k < n and collapsed[k]:
             raise NotComplementary(f"candidate collapses under the step at coordinate {k}")
     return out
@@ -1027,6 +1033,17 @@ class PastDependenceReport:
     top_spaces: tuple[Subspace, ...] = field(repr=False, default=())
 
 
+def counterexample_generator(a0, a1) -> Generator:
+    """The demonstration's generator: two invertible 2×2 matrices.  Raises
+    DimensionMismatch for another shape, ValueError for a singular matrix."""
+    gen = Generator.from_list([a0, a1])
+    if gen.dim != 2:
+        raise DimensionMismatch("the demonstration is for 2x2 generators")
+    if np.any(np.abs(np.linalg.det(gen.stack)) < 1e-12):
+        raise ValueError("the demonstration's generators must be invertible")
+    return gen
+
+
 def noncommuting_base_demo(
     a0: np.ndarray,
     a1: np.ndarray,
@@ -1041,21 +1058,13 @@ def noncommuting_base_demo(
     separated by `gap_tolerance` on some window, since then a one-dimensional
     top space is not resolved.
     """
-    a0 = np.asarray(a0, dtype=float)
-    a1 = np.asarray(a1, dtype=float)
-    if a0.shape != (2, 2) or a1.shape != (2, 2):
-        raise DimensionMismatch("the demonstration is for 2x2 generators")
-    for a in (a0, a1):
-        if abs(np.linalg.det(a)) < 1e-12:
-            raise ValueError("generators must be invertible")
-    gen = Generator.from_list([a0, a1])
+    gen = counterexample_generator(a0, a1)
+    a0, a1 = gen.matrices
     commutator = float(np.linalg.norm(a0 @ a1 - a1 @ a0))
     if not pasts or any(not np.array_equal(w.future, pasts[0].future) for w in pasts):
         raise ValueError("windows must share a common future")
 
-    mats = gen.stack
-    spaces = []
-    per_window_gaps = []
+    mats, spaces, per_window_gaps = gen.stack, [], []
     for w in pasts:
         n_p, n_f = w.n_past, w.n_future
         u_far, steps, _ = _propagate(mats, w.symbols(-n_p, n_f), reverse=True)
@@ -1069,14 +1078,11 @@ def noncommuting_base_demo(
         raise EqualExponents(
             f"estimated exponent separation {gap_est:.3e} below {gap_tolerance}")
 
-    gaps = []
-    for ia in range(len(spaces)):
-        for ib in range(ia + 1, len(spaces)):
-            gaps.append(((ia, ib), gap(spaces[ia], spaces[ib])))
-    max_gap = max(g for _, g in gaps) if gaps else 0.0
+    gaps = tuple(((ia, ib), gap(a, b))
+                 for (ia, a), (ib, b) in combinations(enumerate(spaces), 2))
     return PastDependenceReport(
-        gaps=tuple(gaps),
-        max_gap=float(max_gap),
+        gaps=gaps,
+        max_gap=max((g for _, g in gaps), default=0.0),
         commutator_norm=commutator,
         exponent_gap_estimate=gap_est,
         top_spaces=tuple(spaces),

@@ -27,15 +27,17 @@ Grammar (UTF-8, parsed with configparser):
     ...
 
 Each kind accepts only the [numerics], [system] and [driving] keys it (or its
-driving law) reads (`NUMERICS`, `SYSTEM_KEYS`, `DRIVING_KEYS`).
-Matrices are bracketed row lists; several matrices are separated by ';'.
+driving law) reads (`NUMERICS`, `SYSTEM_KEYS`, `DRIVING_KEYS`).  Every number
+is read by `parse_number` and must be finite.  Numbers, and the bracketed rows
+of a matrix inside its one pair of brackets, are separated by commas or spaces
+(spaces inside --grid values, which commas split); ';' separates matrices.
 `validate_config` checks those keys, resolves each [numerics] value from the
-`NUMERICS` table (the key's default where unset; every tolerance finite and
-positive, every count an int at least its least value), then builds the
-system and driving law (`SYSTEMS`), which checks every [system] and [driving]
-value.  It returns the values and the system together; `load_config` keeps
-them on the config as `built`, which the runner reads, so a loaded config is
-one that has been built, once.  The seed must be given explicitly: runs never
+`NUMERICS` table (the key's default where unset; every tolerance positive,
+every count an int at least its least value), then builds the system and
+driving law (`SYSTEMS`), which checks every [system] and [driving] value.  It
+returns the values and the system together; `load_config` keeps them on the
+config as `built`, which the runner reads, so a loaded config is one that
+has been built, once.  The seed must be given explicitly: runs never
 draw entropy from the environment.
 """
 
@@ -45,6 +47,7 @@ import configparser
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,41 +87,40 @@ SYSTEM_KEYS = {
 DRIVING_KEYS = {"iid": {"law", "probs"}, "markov": {"law", "transition"}}
 
 
-def parse_vector(text: str) -> list[float]:
-    text = text.strip().strip("[]")
-    if not text:
-        raise ConfigError("empty vector")
+_SEP = re.compile(r"\s*,\s*|\s+")
+_ROW = r"\[[^\[\]]*\]"
+_MATRIX = re.compile(rf"\s*\[\s*{_ROW}(?:(?:{_SEP.pattern}){_ROW})*\s*\]\s*")
+
+
+def parse_number(text: str) -> float:
+    """The one reader of config numbers: `text` as a finite float."""
     try:
-        return [float(x) for x in text.replace(",", " ").split()]
-    except ValueError as exc:
-        raise ConfigError(f"bad vector {text!r}") from exc
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"not a finite number: {text!r}")
+    return value
+
+
+def parse_vector(text: str) -> list[float]:
+    """Numbers separated by commas or spaces, in at most one pair of brackets."""
+    body = text.strip()
+    if body[:1] == "[" and body[-1:] == "]":
+        body = body[1:-1].strip()
+    if not body or "[" in body or "]" in body:
+        raise ConfigError(f"a vector is numbers separated by commas or spaces, "
+                          f"in at most one pair of brackets: {text!r}")
+    return [parse_number(x) for x in _SEP.split(body)]
 
 
 def parse_matrix(text: str) -> list[list[float]]:
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ConfigError(f"matrix must be bracketed rows: {text!r}")
-    inner = text[1:-1].strip()
-    rows = []
-    depth = 0
-    current = ""
-    for ch in inner:
-        if ch == "[":
-            depth += 1
-            if depth == 1:
-                current = ""
-                continue
-        if ch == "]":
-            depth -= 1
-            if depth == 0:
-                rows.append(parse_vector(current))
-                continue
-        if depth >= 1:
-            current += ch
-    if not rows:
-        raise ConfigError(f"no rows in matrix {text!r}")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
+    """Bracketed rows of numbers inside one pair of brackets, rows separated
+    by commas or spaces, each row as long as the first."""
+    if not _MATRIX.fullmatch(text):
+        raise ConfigError(f"a matrix is bracketed rows inside one pair of brackets: {text!r}")
+    rows = [parse_vector(row) for row in re.findall(_ROW, text)]
+    if any(len(r) != len(rows[0]) for r in rows):
         raise ConfigError("ragged matrix rows")
     return rows
 
@@ -214,11 +216,12 @@ def validate_config(cfg: RunConfig) -> tuple[dict, tuple]:
         if isinstance(default, str):
             default = numerics[default]
         try:
-            value = type(default)(cfg.numerics.get(key, default))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad numeric value for {key}") from exc
-        if isinstance(value, float) and not low < value < math.inf:
-            raise ConfigError(f"tolerance {key} must be finite and positive")
+            value = (parse_number if isinstance(default, float) else int)(
+                cfg.numerics.get(key, default))
+        except (ConfigError, ValueError) as exc:
+            raise ConfigError(f"bad numeric value for {key}: {exc}") from exc
+        if isinstance(value, float) and not value > low:
+            raise ConfigError(f"tolerance {key} must be positive")
         if value < low:
             raise ConfigError(f"{key} must be at least {low}")
         numerics[key] = value
@@ -229,9 +232,9 @@ def build_driving(cfg: RunConfig, n_symbols: int) -> cc.DrivingSystem:
     """The configured driving law over the system's `n_symbols` symbols
     (uniform i.i.d. by default).  The law is `iid` with `probs`, one per
     symbol, or `markov` with an `n_symbols`-square `transition`; the
-    probabilities and each transition row must be finite and nonnegative and
-    sum to 1 within 1e-9 (they are then normalised), and a Markov law must
-    have one closed class.  Anything else is a ConfigError."""
+    probabilities and each transition row must sum to 1 within 1e-9 (they
+    are then normalised).  `DrivingSystem` checks the law's values (finite,
+    nonnegative, one closed class).  Anything else is a ConfigError."""
     law = cfg.driving.get("law", "iid")
     if law == "markov":
         if "transition" not in cfg.driving:
@@ -248,10 +251,9 @@ def build_driving(cfg: RunConfig, n_symbols: int) -> cc.DrivingSystem:
                               f"the system has {n_symbols} symbols")
     else:
         raise ConfigError(f"unknown driving law {law!r}")
-    if not (np.all(np.isfinite(rows)) and np.all(rows >= 0)
-            and np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-9)):
+    if not np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-9):
         raise ConfigError(f"{'each transition row' if law == 'markov' else 'probs'} "
-                          "must be finite and nonnegative and sum to 1")
+                          "must sum to 1 within 1e-9")
     rows = rows / rows.sum(axis=1, keepdims=True)
     try:
         if law == "markov":
@@ -285,7 +287,7 @@ def _build_maps(cfg: RunConfig) -> list[iv.PiecewiseMap]:
         for name in cfg.system["maps"].replace(",", " ").split():
             name = name.strip()
             if name.startswith("slope:"):
-                maps.append(iv.single_slope_map(float(name.split(":", 1)[1])))
+                maps.append(iv.single_slope_map(parse_number(name.split(":", 1)[1])))
             elif name in MAP_PRESETS:
                 maps.append(MAP_PRESETS[name]())
             else:
@@ -321,9 +323,7 @@ def _sft_system(cfg: RunConfig):
     if "amplitudes" not in cfg.system:
         raise ConfigError("sft run needs system.amplitudes")
     amps = parse_vector(cfg.system["amplitudes"])
-    if not all(map(math.isfinite, amps)):
-        raise ConfigError("amplitudes must be finite")
-    theta = _from_system(float, cfg.system.get("theta", 0.5))
+    theta = parse_number(cfg.system.get("theta", 0.5))
     _from_system(sf.Sft.full, 2, theta)
     return amps, theta, build_driving(cfg, len(amps))
 
@@ -332,10 +332,8 @@ def _counterexample_system(cfg: RunConfig):
     for key in ("a0", "a1"):
         if key not in cfg.system:
             raise ConfigError(f"counterexample run needs system.{key}")
-    gen = _from_system(cc.Generator.from_list,
-                       [np.asarray(parse_matrix(cfg.system[key])) for key in ("a0", "a1")])
-    if np.any(np.abs(np.linalg.det(gen.stack)) < 1e-12):
-        raise ConfigError("counterexample generators a0 and a1 must be invertible")
+    gen = _from_system(cc.counterexample_generator,
+                       *(parse_matrix(cfg.system[key]) for key in ("a0", "a1")))
     return gen, build_driving(cfg, 2)
 
 

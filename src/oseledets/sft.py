@@ -95,13 +95,8 @@ class Sft:
     @property
     def irreducible(self) -> bool:
         """Every symbol reaches every other: the reachability closure of the
-        transition graph, (I + T) squared until it stops changing, is full."""
-        if "irreducible" not in self._cache:
-            reach = np.eye(self.n_symbols, dtype=bool) | (self.transitions == 1)
-            while not np.array_equal(reach, closer := reach @ reach):
-                reach = closer
-            self._cache["irreducible"] = bool(reach.all())
-        return self._cache["irreducible"]
+        transition graph is full."""
+        return bool(_cocycle.reachability(self.transitions).all())
 
     def codes(self, depth: int) -> np.ndarray:
         """Sorted base-A codes sum_i w_i A^(depth-1-i) of the legal words of

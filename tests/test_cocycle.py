@@ -1,6 +1,6 @@
 import bisect
 import warnings
-from itertools import accumulate
+from itertools import accumulate, product
 
 import numpy as np
 import pytest
@@ -991,6 +991,25 @@ def test_uniqueness_diagnostic_own_block_is_zero():
     assert np.max(series) <= 1e-8
 
 
+@pytest.mark.parametrize("i", [1, 2])
+def test_uniqueness_diagnostic_pushes_only_the_columns_it_reads(monkeypatch, i):
+    # the far-past frame goes forward at width c_i, not m
+    gen = Generator.from_list([np.diag([4.0, 2.0, 1.0, 0.5])])
+    w = const_window(300, 120)
+    rep = oseledets_splitting(gen, None, w, n_past=200, n_future=50)
+    tilted = Subspace.span(np.eye(4)[i - 1] + 0.4 * np.eye(4)[i])
+    widths, propagate = [], cc._propagate
+
+    def spy(mats, symbols, q=None, **kwargs):
+        widths.append((kwargs.get("reverse", False), len(mats[0]) if q is None else q.shape[1]))
+        return propagate(mats, symbols, q, **kwargs)
+
+    monkeypatch.setattr(cc, "_propagate", spy)
+    series = uniqueness_diagnostic(gen, w, tilted, rep, i, 25)
+    assert widths == [(True, 4), (False, rep.block_ends[i - 1]), (False, 1)]
+    assert series[0] > 0.1 and series[-1] < 1e-5
+
+
 def test_uniqueness_diagnostic_tilted_candidate_decay_rate():
     w = const_window(300, 120)
     rep = oseledets_splitting(DIAG, None, w, n_past=200, n_future=50)
@@ -1306,6 +1325,41 @@ def test_bad_driving_rejected():
     with pytest.raises(ValueError):
         DrivingSystem(alphabet_size=2, law="markov", probs=(0.9, 0.1),
                       transition=((0.5, 0.5), (0.5, 0.5)), seed=1)
+
+
+def test_non_finite_driving_rejected():
+    with pytest.raises(ValueError):
+        DrivingSystem.iid([np.nan, 1.0], 0)
+    with pytest.raises(ValueError):
+        DrivingSystem.markov([[np.nan, 1.0], [0.5, 0.5]], 0)
+
+
+def _dfs_single_closed_class(transition) -> bool:
+    """Reference: one closed class when exactly one set of states is the
+    reach of a recurrent state (one that every state it reaches reaches back),
+    each reach found by a depth-first search."""
+    succ = [[j for j, p in enumerate(row) if p > 0] for row in transition]
+    reach = []
+    for i in range(len(succ)):  # the states reachable from i, i included
+        seen, todo = {i}, [i]
+        while todo:
+            new = set(succ[todo.pop()]) - seen
+            seen |= new
+            todo += new
+        reach.append(seen)
+    classes = {frozenset(r) for i, r in enumerate(reach) if all(i in reach[j] for j in r)}
+    return len(classes) == 1
+
+
+def test_single_closed_class_matches_search_on_every_small_pattern():
+    # every 0/1 pattern with n <= 4 states and no empty row
+    count = 0
+    for n in range(1, 5):
+        rows = [row for row in product((0, 1), repeat=n) if any(row)]
+        for pattern in product(rows, repeat=n):
+            assert cc.single_closed_class(pattern) == _dfs_single_closed_class(pattern), pattern
+            count += 1
+    assert count == 50_978
 
 
 @pytest.mark.parametrize("transition", [

@@ -614,10 +614,22 @@ def test_cli_unread_system_and_driving_keys_are_config_errors(tmp_path, capsys, 
     INTERVAL_CFG.replace("maps = doubling", "maps = slope:nan"),
     INTERVAL_CFG.replace("maps = doubling", "map.0 = [0, 1, nan, 0]"),
     INTERVAL_CFG.replace("maps = doubling", "maps = slope:inf"),
+    # the grammar: bracketed rows inside one pair of brackets, finite numbers
+    COCYCLE_CFG.replace("[[2, 0], [0, 0.5]]", "[[2, 0] junk [0, 0.5]]"),
+    COCYCLE_CFG.replace("[[2, 0], [0, 0.5]]", "[[2], [0.5]"),
+    TWO_MATRIX_CFG + "\n[driving]\nprobs = [[0.5, 0.5]]\n",
+    SFT_CFG.replace("theta = 0.5", "theta = 1e999"),
+    # the demonstration is for two invertible 2x2 matrices
+    COUNTER_CFG.replace("a0 = [[3, 0], [0, 0.3333333333333333]]",
+                        "a0 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]")
+               .replace("a1 = [[0, 0.3333333333333333], [3, 0]]",
+                        "a1 = [[2, 0, 0], [0, 1, 0], [0, 0, 0.5]]"),
 ], ids=["map-row-length", "map-domains-short", "map-image-leaves", "map-domain-leaves",
         "slope-zero", "slope-image-leaves", "slope-not-a-number", "matrix-not-finite",
         "counterexample-singular", "matrix-not-square", "counterexample-sizes-differ",
-        "amplitude-nan", "amplitude-inf", "slope-nan", "map-slope-nan", "slope-inf"])
+        "amplitude-nan", "amplitude-inf", "slope-nan", "map-slope-nan", "slope-inf",
+        "junk-between-rows", "unclosed-last-row", "nested-probs", "theta-1e999",
+        "counterexample-3x3"])
 def test_cli_invalid_system_values_are_config_errors(tmp_path, capsys, text):
     out_path = tmp_path / "rec.ndjson"
     assert main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out_path)]) == 2
