@@ -31,7 +31,8 @@ from .errors import (
     RestrictedSingular,
     WindowTooShort,
 )
-from .grassmann import DIRECT_SUM_MIN_SV, Subspace, gap, project_off
+from .grassmann import (DIRECT_SUM_MIN_SV, Subspace, complement, direct_sum_min_sv, gap,
+                        project_off)
 
 GAP_TOLERANCE = 1e-3
 CONVERGENCE_TOLERANCE = 1e-6
@@ -306,11 +307,11 @@ class SpectrumReport:
     @property
     def filtration(self) -> tuple[Subspace, ...]:
         """V_2, ..., V_{p+1} (V_{p+1} when nontrivial), built on read: V_{i+1}
-        is spanned by W_{c_i:} and the tail of one complete QR of W."""
+        is spanned by W_{c_i:} and the complement of W."""
         w = self.filtration_complement
-        m, c_p = w.shape
-        slow = np.linalg.qr(w, mode="complete")[0][:, c_p:]
-        return tuple(Subspace(np.hstack([w[:, c:], slow])) for c in self.block_ends if c < m)
+        slow = complement(w)
+        return tuple(Subspace(np.hstack([w[:, c:], slow]))
+                     for c in self.block_ends if c < len(w))
 
 
 # ---------------------------------------------------------------------------
@@ -366,12 +367,12 @@ def _propagate(mats, symbols, q=None, *, reverse=False, record=()):
     Returns the final Q, the per-step log|diag R| as a (steps, k) array and
     {t: Q after t steps} for t in `record`.
 
-    The step depends on m and k:
+    There is one loop per number representation:
     - m <= 3: Gram-Schmidt, applied twice, on Python floats, with vectors
       zero-padded to length 3;
-    - m > 3, k <= 3: the same Gram-Schmidt in numpy on the rows of Qᵀ, one
-      contiguous row per column, with Python-float coefficients;
-    - m > 3, k > 3: one `_qr_pos` call.
+    - m > 3: numpy rows of Qᵀ, one per column.  A frame of at most 3 columns
+      takes the same Gram-Schmidt with Python-float coefficients, a wider
+      one the loop's QR step, one `_qr_pos` call.
     On m <= 3 a full frame (k = m, taken to be orthonormal) carries only its
     first m - 1 columns: |R_mm| = |det A_s| / (|R_11| ... |R_{m-1,m-1}|), with
     one `np.linalg.det` of the generator stack, and the last column is
@@ -393,25 +394,15 @@ def _propagate(mats, symbols, q=None, *, reverse=False, record=()):
         raise DimensionMismatch(f"start frame of shape {q.shape} for {m}×{m} generators")
     k = q.shape[1]
     recorded = {0: q} if 0 in record else {}
-    if k > 3:
-        steps = np.empty((n, k))
-        with np.errstate(divide="ignore"):
-            for t, s in enumerate(symbols.tolist(), 1):
-                q, r = _qr_pos(mats[s] @ q)
-                steps[t - 1] = np.log(np.abs(np.diag(r)))
-                if t in record:
-                    recorded[t] = q
-        return q, steps, recorded
-
     cancel, (lo, hi) = GS_CANCEL2, GS_NORM2_RANGE  # locals: read once per column
     diag = array("d")  # |R_jj| per step
     if m > 3:
-        def frame():  # the columns as an (m, k) array
-            return rows.T
-
-        rows = np.ascontiguousarray(q.T)
+        # Gram-Schmidt runs on contiguous rows; a wider frame keeps its rows a
+        # view of the QR step's Q, as a copy changes how the next product rounds
+        narrow = k <= 3
+        rows = np.ascontiguousarray(q.T) if narrow else q.T
         for t, s in enumerate(symbols.tolist(), 1):
-            y = rows @ mats[s].T
+            y = rows @ mats[s].T if narrow else ()  # () goes to the QR step
             new = []
             for u in y:  # u is a view of one row of y, orthogonalised in place
                 ny = nw = float(u.dot(u))
@@ -425,15 +416,15 @@ def _propagate(mats, symbols, q=None, *, reverse=False, record=()):
                 u /= nrm
                 diag.append(nrm)
                 new.append(u)
-            if len(new) < k:  # drop what this step wrote and redo it with numpy
+            if len(new) < k:  # the QR step; drops what Gram-Schmidt wrote
                 del diag[(t - 1) * k:]
-                qn, r = _qr_pos(mats[s] @ frame())
-                y = np.ascontiguousarray(qn.T)
+                qn, r = _qr_pos(mats[s] @ rows.T)
+                y = np.ascontiguousarray(qn.T) if narrow else qn.T
                 diag.extend(np.diag(r).tolist())
             rows = y
             if t in record:
-                recorded[t] = frame()
-        q = frame()
+                recorded[t] = rows.T
+        q = rows.T
     else:
         # A full frame carries its first c = m - 1 columns and closes its last
         # by the determinant: |R_mm| = |det A_s| / (|R_11| ... |R_cc|).  Its
@@ -679,17 +670,6 @@ def _start_frame(m: int, width: int, lead: np.ndarray | None = None) -> np.ndarr
     return _qr_pos(g)[0]
 
 
-def _direct_sum_min_sv(f: np.ndarray, w: np.ndarray) -> float:
-    """σ_min of [F, V] for m×c frames f (F) and w, V an orthonormal basis of
-    span(w)^⊥, without an m×m matrix.  In the orthonormal basis [W, V] the
-    matrix is [[WᵀF, 0], [VᵀF, I]], whose singular values are those of
-    [[WᵀF, 0], [R, I]] with RᵀR = Fᵀ(I - WWᵀ)F, plus ones."""
-    c = w.shape[1]
-    r = np.linalg.qr(f - w @ (w.T @ f), mode="r")
-    small = np.block([[w.T @ f, np.zeros((c, c))], [r, np.eye(c)]])
-    return float(np.linalg.svd(small, compute_uv=False)[-1])
-
-
 def oseledets_splitting(
     gen: Generator,
     driving: DrivingSystem | None = None,
@@ -836,7 +816,7 @@ def oseledets_splitting(
         equivariance=tuple(equiv),
         uniqueness_g0=tuple(g0),
         cauchy_gap=tuple(cauchy),
-        direct_sum_min_sv=_direct_sum_min_sv(f, w),
+        direct_sum_min_sv=direct_sum_min_sv(f, w),
         n_used=n_future,
         n_past_used=n_past,
         gap_tolerance=gap_tolerance,
@@ -980,8 +960,7 @@ def uniqueness_diagnostic(
     """
     if i < 1 or i > report.p:
         raise ValueError(f"block index {i} out of range 1..{report.p}")
-    c_i = report.block_ends[i - 1]
-    c_prev = 0 if i == 1 else report.block_ends[i - 2]
+    c_prev, c_i = (0, *report.block_ends)[i - 1:i + 1]
     if c_i >= gen.dim:
         raise ValueError("the last block has no complementary filtration space")
     if candidate.d != report.multiplicities[i - 1]:
@@ -1012,7 +991,7 @@ def uniqueness_diagnostic(
         cand = cands[k]
         # the candidate must complement V_{i+1} within V_i: together with the
         # faster blocks it has to span the whole space
-        if _direct_sum_min_sv(np.hstack([qk[:, :c_prev], cand]), wk) < DIRECT_SUM_MIN_SV:
+        if direct_sum_min_sv(np.hstack([qk[:, :c_prev], cand]), wk) < DIRECT_SUM_MIN_SV:
             raise NotComplementary(f"candidate at step {k} fails the direct-sum precondition")
         out[k] = np.linalg.norm(project_off(qk, wk, cand), 2)
         if k < n and collapsed[k]:
@@ -1068,10 +1047,9 @@ def noncommuting_base_demo(
     for w in pasts:
         n_p, n_f = w.n_past, w.n_future
         u_far, steps, _ = _propagate(mats, w.symbols(-n_p, n_f), reverse=True)
-        rates = _mean_rates(steps, min(20, (n_p + n_f) // 5))
-        per_window_gaps.append(abs(rates[0] - rates[1]))
-        top = int(np.argmax(rates))
-        spaces.append(Subspace(_propagate(mats, w.symbols(-n_p, 0), u_far[:, [top]])[0]))
+        u_far, rates = _sorted_columns(u_far, steps, min(20, (n_p + n_f) // 5))
+        per_window_gaps.append(rates[0] - rates[1])
+        spaces.append(Subspace(_propagate(mats, w.symbols(-n_p, 0), u_far[:, :1])[0]))
     # One system-level separation estimate: the mean over sampled windows.
     gap_est = float(np.mean(per_window_gaps))
     if gap_est < gap_tolerance:

@@ -6,16 +6,15 @@ operations every splitting computation is built from: oblique projections
 a reference pair, well-conditioned bases adapted to a chosen ambient norm, and
 the gap metric (sine of the largest principal angle).
 
-Every oblique projection in the package is one call of :func:`project_off`, a
-c×c solve against the c columns that span the kernel: the splitting, the
-uniqueness diagnostic, :func:`local_norm`, the lemma suite and
-:func:`project_along`, which builds the m×m matrix from the identity.
+Every oblique projection in the package (the splitting, the uniqueness
+diagnostic, :func:`local_norm`, the lemma suite, :func:`project_along`) is one
+c×c solve of :func:`project_off`, every direct-sum test one
+:func:`direct_sum_min_sv` and every orthogonal complement one :func:`complement`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 from typing import Literal, Sequence
 
 import numpy as np
@@ -93,24 +92,32 @@ class Subspace:
         return float(np.linalg.norm(resid)) <= tol * nv
 
 
-def _complement(s: Subspace) -> np.ndarray:
-    """Orthonormal frame of the orthogonal complement of `s`: the trailing
-    columns of one complete QR of its frame."""
-    return np.linalg.qr(s.frame, mode="complete")[0][:, s.d:]
+def complement(frame: np.ndarray) -> np.ndarray:
+    """Orthonormal frame of the orthogonal complement of the span of the
+    orthonormal m×d `frame`: the trailing columns of one complete QR."""
+    return np.linalg.qr(frame, mode="complete")[0][:, frame.shape[1]:]
+
+
+def direct_sum_min_sv(f: np.ndarray, w: np.ndarray) -> float:
+    """σ_min of [F, V] for m×c frames f (F, unit columns) and w, V an
+    orthonormal basis of span(w)^⊥, without an m×m matrix: in the basis [W, V]
+    it is [[WᵀF, 0], [VᵀF, I]], with the singular values of [[WᵀF, 0], [R, I]],
+    RᵀR = Fᵀ(I - WWᵀ)F, plus ones."""
+    c, wf = w.shape[1], w.T @ f
+    small = np.eye(2 * c)
+    small[:c, :c], small[c:, :c] = wf, np.linalg.qr(f - w @ wf, mode="r")
+    return float(np.linalg.svd(small, compute_uv=False)[-1])
 
 
 def project_off(f: np.ndarray, w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """x projected onto V = span(w)^⊥ along span(f), for orthonormal m×c
-    frames f and w: x - f (wᵀf)⁻¹ wᵀx.  DegenerateSum when V and span(f)
-    have concatenated frames with smallest singular value s / sqrt(1 + sqrt(1
-    - s²)) < 1e-10, s = σ_min(wᵀf), or when the result leaves V by more than
-    1e-10 times the largest column 2-norm of x, so the verdict does not depend
-    on the scale of x."""
-    wf = w.T @ f
-    s = float(np.linalg.svd(wf, compute_uv=False)[-1])
-    if s / sqrt(1.0 + sqrt(max(1.0 - s * s, 0.0))) < DIRECT_SUM_MIN_SV:
+    frames f and w: x - f (wᵀf)⁻¹ wᵀx.  DegenerateSum when [f, V] has
+    smallest singular value (:func:`direct_sum_min_sv`) below 1e-10, or when
+    the result leaves V by more than 1e-10 times the largest column 2-norm of
+    x, so the verdict does not depend on the scale of x."""
+    if direct_sum_min_sv(f, w) < DIRECT_SUM_MIN_SV:
         raise DegenerateSum("sum is not direct (smallest singular value < 1e-10)")
-    y = x - f @ np.linalg.solve(wf, w.T @ x)
+    y = x - f @ np.linalg.solve(w.T @ f, w.T @ x)
     if np.max(np.abs(w.T @ y)) > IDEMPOTENCE_TOL * np.max(np.linalg.norm(x, axis=0)):
         raise DegenerateSum("projection leaves span(w)^⊥ by more than 1e-10 |x|")
     return y
@@ -135,7 +142,7 @@ def project_along(kernel: Subspace, range: Subspace) -> np.ndarray:
     if kernel.d + range.d != m:
         raise DimensionMismatch(
             f"kernel.d + range.d = {kernel.d + range.d} != ambient dimension {m}")
-    return project_off(kernel.frame, _complement(range), np.eye(m))
+    return project_off(kernel.frame, complement(range.frame), np.eye(m))
 
 
 def local_norm(e: Subspace, e0: Subspace, f0: Subspace) -> float:
@@ -149,10 +156,11 @@ def local_norm(e: Subspace, e0: Subspace, f0: Subspace) -> float:
     m = e.m
     if e0.d + f0.d != m or e.d + f0.d != m:
         raise DimensionMismatch("reference pair does not decompose the ambient space")
-    if np.linalg.svd(np.hstack([e0.frame, f0.frame]), compute_uv=False)[-1] < DIRECT_SUM_MIN_SV:
+    w = complement(f0.frame)  # span(w)^⊥ = f0
+    if direct_sum_min_sv(e0.frame, w) < DIRECT_SUM_MIN_SV:
         raise DegenerateSum("e0 + f0 is not a direct sum")
     # raises DegenerateSum if e + f0 is not direct
-    return float(np.linalg.norm(project_off(e.frame, _complement(f0), e0.frame), 2))
+    return float(np.linalg.norm(project_off(e.frame, w, e0.frame), 2))
 
 
 def gap(a: Subspace, b: Subspace) -> float:

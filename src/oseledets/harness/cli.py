@@ -61,18 +61,22 @@ def _write_or_print(records: list[dict], out: str | None) -> None:
             sys.stdout.write(rec.dumps(record) + "\n")
 
 
+def _report(record: dict, out: str | None) -> int:
+    """Write one record; a failed record is named on stderr and exits 3."""
+    _write_or_print([record], out)
+    if record["status"] != "ok":
+        print(f"numerical failure: {record['error']}", file=sys.stderr)
+        return EXIT_NUMERIC
+    return EXIT_OK
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
             cfg = load_config(args.config, args.seed, args.out)
-            record = runner.run(cfg)
-            _write_or_print([record], cfg.out)
-            if record["status"] != "ok":
-                print(f"numerical failure: {record['error']}", file=sys.stderr)
-                return EXIT_NUMERIC
-            return EXIT_OK
+            return _report(runner.run(cfg), cfg.out)
 
         if args.command == "sweep":
             cfg = load_config(args.config, args.seed, args.out)
@@ -95,9 +99,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
 
         if args.command == "lemma-suite":
-            record = run_lemma_suite(args.seed, verbose=True)
-            _write_or_print([record], args.out)
-            return EXIT_OK if record["status"] == "ok" else EXIT_NUMERIC
+            return _report(run_lemma_suite(args.seed, verbose=True), args.out)
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

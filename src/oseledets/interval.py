@@ -552,6 +552,15 @@ def ly_inequality_check(
     `frozen_d` is given, slacks are reported against it; otherwise the
     smallest feasible D over the sample is determined and slacks use that.
 
+    For affine branches with |slope| >= λ = essinf|T'| it holds with a = 3/λ
+    and D = 2/(λ min_J |J|).  On a branch J = (p, r), L(f 1_J) is
+    f∘T_J⁻¹/|slope| on T(J) and 0 elsewhere, so var(L(f 1_J)) <= (var_J f +
+    |f(p+)| + |f(r-)|)/λ, and |f(x)| <= var_J f + |∫_J f|/|J| on J; sum over
+    J, as var(L f) <= Σ_J var(L(f 1_J)) and Σ_J var_J f <= var f.  The
+    classical a = 2/λ holds with the same D: |f(p+) - μ| + |f(r-) - μ| <=
+    var_J f for the mean μ of f on J, so |f(p+)| + |f(r-)| <= var_J f +
+    2|∫_J f|/|J|.  The check keeps a = 3/λ.
+
     Raises ExpansionTooWeak unless essinf |T'| > 1.
     """
     essinf = t.essinf_derivative()

@@ -615,11 +615,13 @@ def assert_matches_reference(mats, symbols, q0, reverse, qr_pos=cc._qr_pos):
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=20, deadline=None)
 @pytest.mark.parametrize("m, k", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3),
-                                  (4, 1), (4, 3), (8, 2), (64, 1), (64, 2), (64, 3)])
+                                  (4, 1), (4, 3), (8, 2), (64, 1), (64, 2), (64, 3),
+                                  (4, 4), (5, 4), (9, 9), (17, 8)])
 @pytest.mark.parametrize("reverse", [False, True])
 def test_scalar_kernel_matches_numpy_loop(m, k, reverse, seed):
-    # random cocycles on m <= 3 (the Python-float path) and on frames of at
-    # most 3 columns for m > 3 (the numpy Gram-Schmidt path) against the loop:
+    # random cocycles on m <= 3 (the Python-float path), on frames of at most
+    # 3 columns for m > 3 (the numpy Gram-Schmidt path) and on wider frames
+    # (the QR step) against the loop:
     # rotations times scalings in [0.5, 2], so each step has condition number
     # at most 4 and one step agrees with the loop to round-off.  Each step
     # starts from the loop's own frame: two 40-step trajectories drift apart
@@ -776,7 +778,8 @@ def test_narrow_kernel_falls_back_on_zero_pivot(monkeypatch, reverse):
     _, steps, _ = cc._propagate(mats, symbols, np.eye(5, 3), reverse=reverse)
     assert len(calls) == np.count_nonzero(symbols == 0) > 0
     assert np.array_equal(np.isneginf(steps[:, 2]), (symbols[::-1] if reverse else symbols) == 0)
-    for q0 in (np.eye(5, 3), np.eye(5)[:, [2]], np.eye(5)[:, [2, 3]]):
+    # frames of 4 and 5 columns take the QR step on every step
+    for q0 in (np.eye(5, 3), np.eye(5)[:, [2]], np.eye(5)[:, [2, 3]], np.eye(5, 4), np.eye(5)):
         assert_matches_reference(mats, symbols, q0, reverse, qr_pos)
 
 

@@ -395,11 +395,18 @@ def test_cli_sweep_and_plotdata(tmp_path):
     assert main(["plotdata", out_path, "--select", "nope"]) == 2
 
 
-def test_cli_lemma_suite(tmp_path):
+def test_cli_lemma_suite(tmp_path, capsys):
     out_path = str(tmp_path / "lemmas.ndjson")
     assert main(["lemma-suite", "--seed", "11", "--out", out_path]) == 0
     loaded = rec.read_records(out_path)
     assert loaded[0]["status"] == "ok"
+    # without --out, stdout holds only the record; the progress lines go to stderr
+    capsys.readouterr()
+    assert main(["lemma-suite", "--seed", "11"]) == 0
+    out, err = capsys.readouterr()
+    assert [json.loads(line) for line in out.splitlines()] == loaded
+    assert len(err.splitlines()) == len(lemmas.ALL_CHECKS)
+    assert all(line.startswith("[lemma-suite] ") for line in err.splitlines())
 
 
 def test_cli_lemma_failure_is_named(tmp_path, monkeypatch, capsys):
@@ -410,11 +417,16 @@ def test_cli_lemma_failure_is_named(tmp_path, monkeypatch, capsys):
     run_out = str(tmp_path / "run.ndjson")
     cfg_path = write_cfg(tmp_path, "[run]\nkind = lemma-suite\nseed = 1\n")
     assert main(["run", "--config", cfg_path, "--out", run_out]) == 3
-    assert "numerical failure: LemmaFailure" in capsys.readouterr().err
+    assert capsys.readouterr().err.count("numerical failure: LemmaFailure") == 2
     for path in (suite_out, run_out):
         record = rec.read_records(path)[0]
         assert (record["status"], record["error"]) == ("fail", "LemmaFailure")
         assert record["always_fails_pass"] is False
+    # without --out: the record alone on stdout, the failure on stderr
+    assert main(["lemma-suite", "--seed", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert [json.loads(line) for line in out.splitlines()] == rec.read_records(suite_out)
+    assert "always_fails: FAIL" in err and "numerical failure: LemmaFailure" in err
 
 
 @pytest.mark.parametrize("text", [
