@@ -22,11 +22,13 @@ so a depth needs A^depth < 2^63.
 The two cylinder kernels work on stacks of value rows, arrays of shape
 (rows, W_depth) that hold one function of a common depth per row:
 `_transfer_rows` applies a sequence of transfer steps to every row, and
-`_prefix_tree_sup` returns one prefix-tree maximum per row.  A single function
+`_prefix_tree_sup` returns one prefix-tree maximum per row, climbing the tree
+only until no higher level can raise any row's maximum.  A single function
 is the one-row case (`transfer_apply`, `transfer_apply_word`, `lip_theta`,
 `distortion_check`).  `norm_and_ic_bounds` sends its random samples through
 them in stacks of at most `SAMPLE_CHUNK_ELEMENTS` values, which bounds the
-memory of a stack whatever the sample count.
+memory of a stack whatever the sample count; `lipschitz_ly_check` sends its
+samples through them in one stack per depth.
 """
 
 from __future__ import annotations
@@ -353,31 +355,52 @@ def _prefix_tree_sup(sft: Sft, values: np.ndarray, depth: int, first: int,
     term(...) / theta^(i - offset), and 0 if there is none.
 
     A pair first differing at index i lies in two sibling subtrees of the
-    prefix tree at level i + 1.  The siblings of a level are the runs of equal
-    `prefix_index(d, d - 1)` in code order, so the ordered sibling pairs sit
-    r = 1..A-1 places apart inside a run.  `term(lo_a, hi_a, lo_b, hi_b)` gets
-    the value extremes of the subtrees a and b of every ordered sibling pair
-    and returns the largest pair term between them.  A bottom-up pass carries
-    the extremes, a parent's being those of its run read at the offsets
-    0..A-1 clamped to the run's end, so the cost is linear in the number of
-    words.
+    prefix tree at level i + 1.  The siblings of a level d are consecutive in
+    code order, one run per (d-1)-word, as long as the successor count of
+    that word's last symbol, so the ordered sibling pairs sit r = 1..A-1
+    places apart inside a run.  `term(lo_a, hi_a, lo_b, hi_b)` gets the value
+    extremes of the subtrees a and b of every ordered sibling pair and returns
+    the largest pair term between them.  A bottom-up pass carries the
+    extremes, a parent's being those of its run read at the offsets 0..A-1
+    clamped to the run's end, so the cost is linear in the number of words.
+
+    The pass stops early, with the same result: `term` must never exceed its
+    value top = term(mn, mx, mn, mx) on the row's own min mn and max mx when
+    both subtrees' extremes lie in [mn, mx].  The lip_theta form
+    hi_a - lo_b <= mx - mn has this property, and so has the distortion
+    form, whose ratios lie in [mn/mx, mx/mn] where |1 - ratio| peaks at an
+    end; IEEE subtraction and division are monotone, so it holds after
+    rounding too.  A level above d divides its pair terms by its scale
+    theta^(level - 1 - offset), so none of them exceeds top over the
+    smallest scale above d.  Once every row's maximum so far reaches that
+    bound, no higher level can change it and the pass returns.  A row whose
+    bound is not finite never stops the pass.
     """
     n_sym = sft.n_symbols
+    successors = sft.transitions.sum(axis=1)
+    levels = range(depth, first, -1)
+    scales = [sft.theta ** (d - 1 - offset) for d in levels]
+    # above[j]: the smallest scale of the levels after levels[j]
+    above = list(itertools.accumulate(scales[:0:-1], min))[::-1]
+    mn, mx = np.min(values, axis=1), np.max(values, axis=1)
+    with np.errstate(all="ignore"):  # a bound that is not finite only keeps the pass going
+        bounds = term(mn, mx, mn, mx) / np.array(above)[:, None]
     lo = hi = values
     best = np.zeros(len(values))
-    for d in range(depth, first, -1):
-        parents = sft.prefix_index(d, d - 1) if d > 1 else np.zeros(n_sym, dtype=np.int64)
-        scale = sft.theta ** (d - 1 - offset)
+    for j, d in enumerate(levels):
+        runs = successors[sft.codes(d - 1) % n_sym] if d > 1 else np.array([n_sym])
+        end = np.cumsum(runs) - 1
+        start = end - runs + 1
         for r in range(1, n_sym):
-            i = np.flatnonzero(parents[r:] == parents[:-r])
+            # the left member of each pair: offset q of every run longer than q + r
+            i = np.concatenate([start[runs > q + r] + q for q in range(n_sym - r)])
             if len(i):
                 lo_a, hi_a, lo_b, hi_b = lo[:, i], hi[:, i], lo[:, i + r], hi[:, i + r]
                 pair_max = np.maximum(np.max(term(lo_a, hi_a, lo_b, hi_b), axis=1),
                                       np.max(term(lo_b, hi_b, lo_a, hi_a), axis=1))
-                best = np.maximum(best, pair_max / scale)
-        sizes = np.bincount(parents)  # the sibling runs, one per parent
-        end = np.cumsum(sizes) - 1
-        start = end - sizes + 1
+                best = np.maximum(best, pair_max / scales[j])
+        if j < len(bounds) and np.all(np.isfinite(bounds[j]) & (best >= bounds[j])):
+            break
         lo_p, hi_p = lo[:, start], hi[:, start]
         for q in range(1, n_sym):
             child = np.minimum(start + q, end)
@@ -455,14 +478,20 @@ def transfer_apply(sft: Sft, g: CylinderFunction, f: CylinderFunction) -> Cylind
     return CylinderFunction(sft, depth, out[0])
 
 
-def transfer_apply_word(sft: Sft, weights: Sequence[CylinderFunction],
-                        f: CylinderFunction, n: int) -> CylinderFunction:
-    """n-step iterated transfer image; weights[j] acts at step j."""
+def _steps(weights: Sequence[CylinderFunction], n: int) -> Sequence[CylinderFunction]:
+    """The weights of n transfer steps, weights[:n]; ValueError when n < 0 or
+    there are fewer than n weights."""
     if n < 0:
         raise ValueError(f"the step count must be non-negative, got {n}")
     if len(weights) < n:
         raise ValueError(f"{n} steps need {n} weights, got {len(weights)}")
-    out, depth = _transfer_rows(sft, weights[:n], f.array[None], f.depth)
+    return weights[:n]
+
+
+def transfer_apply_word(sft: Sft, weights: Sequence[CylinderFunction],
+                        f: CylinderFunction, n: int) -> CylinderFunction:
+    """n-step iterated transfer image; weights[j] acts at step j."""
+    out, depth = _transfer_rows(sft, _steps(weights, n), f.array[None], f.depth)
     return CylinderFunction(sft, depth, out[0])
 
 
@@ -585,20 +614,30 @@ def lipschitz_ly_check(
     K defaults to max(2, feasible distortion constant) and R_n to `rn`: the
     `k_constant` and `r_n` of `norm_and_ic_bounds` for the same weights and
     n; pass those values to skip a second distortion pass and transfer.
+
+    The samples go through the row kernels one stack per depth: one n-step
+    `_transfer_rows` and two `_lip_rows` calls.  Both kernels work row by
+    row, so every slack is the one a sample would get alone; the slacks keep
+    the order of `f_samples`.
     """
     theta = sft.theta
+    steps = _steps(weights, n)
     if r_n is None:
         r_n = rn(sft, weights, n)
     if k_constant is None:
         k_constant = _smoothing_constant(sft, weights, n)
-    slacks = []
-    for f in f_samples:
-        image = transfer_apply_word(sft, weights, f, n)
-        lhs = image.lip_theta()
-        rhs = r_n * (theta ** n * f.lip_theta() + k_constant * f.sup_norm())
-        slacks.append(float(rhs - lhs))
+    by_depth: dict[int, list[int]] = {}
+    for j, f in enumerate(f_samples):
+        by_depth.setdefault(f.depth, []).append(j)
+    slacks = np.empty(len(f_samples))
+    for depth, idx in by_depth.items():
+        values = np.stack([f_samples[j].array for j in idx])
+        lhs = _lip_rows(sft, *_transfer_rows(sft, steps, values, depth))
+        rhs = r_n * (theta ** n * _lip_rows(sft, values, depth)
+                     + k_constant * np.max(np.abs(values), axis=1))
+        slacks[idx] = rhs - lhs
     return SmoothingReport(r_n=float(r_n), k_constant=float(k_constant),
-                           slacks=tuple(slacks))
+                           slacks=tuple(slacks.tolist()))
 
 
 @dataclass(frozen=True)

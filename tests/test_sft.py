@@ -108,6 +108,10 @@ def test_fewer_weights_than_steps_rejected():
         transfer_apply_word(FULL, ws, CylinderFunction.constant(FULL, 1.0), 3)
     with pytest.raises(ValueError, match="3 weights"):
         distortion_check(FULL, ws, 3, 2)
+    # with R_n and K passed, no transfer_apply_word call sees the weights
+    with pytest.raises(ValueError, match="3 weights"):
+        lipschitz_ly_check(FULL, ws, 3, [CylinderFunction.constant(FULL, 1.0)],
+                           r_n=1.0, k_constant=2.0)
 
 
 # -- word codes against the tuple and dict reference ---------------------------------
@@ -212,6 +216,35 @@ def ref_prefix_tree_sup(sft: Sft, values: np.ndarray, depth: int, first: int,
     return best
 
 
+def ref_row_prefix_tree_sup(sft: Sft, values: np.ndarray, depth: int, first: int,
+                            offset: int, term: Callable[..., np.ndarray]) -> np.ndarray:
+    # the row pass before its early exit: every level up to `first` + 1, with
+    # the sibling runs of `prefix_index(d, d - 1)`
+    n_sym = sft.n_symbols
+    lo = hi = values
+    best = np.zeros(len(values))
+    for d in range(depth, first, -1):
+        parents = sft.prefix_index(d, d - 1) if d > 1 else np.zeros(n_sym, dtype=np.int64)
+        scale = sft.theta ** (d - 1 - offset)
+        for r in range(1, n_sym):
+            i = np.flatnonzero(parents[r:] == parents[:-r])
+            if len(i):
+                lo_a, hi_a, lo_b, hi_b = lo[:, i], hi[:, i], lo[:, i + r], hi[:, i + r]
+                pair_max = np.maximum(np.max(term(lo_a, hi_a, lo_b, hi_b), axis=1),
+                                      np.max(term(lo_b, hi_b, lo_a, hi_a), axis=1))
+                best = np.maximum(best, pair_max / scale)
+        sizes = np.bincount(parents)
+        end = np.cumsum(sizes) - 1
+        start = end - sizes + 1
+        lo_p, hi_p = lo[:, start], hi[:, start]
+        for q in range(1, n_sym):
+            child = np.minimum(start + q, end)
+            lo_p = np.minimum(lo_p, lo[:, child])
+            hi_p = np.maximum(hi_p, hi[:, child])
+        lo, hi = lo_p, hi_p
+    return best
+
+
 def ref_transfer_apply(sft, g, f):
     # the one-function transfer step the row transfer replaced: a masked
     # accumulation over the legal preimages only
@@ -297,28 +330,55 @@ def test_lip_theta_matches_pairwise_reference():
             assert f.lip_theta() == oracle
 
 
+def _shaped_rows(sft, rng, depth, low, high):
+    """Rows whose maximum settles at chosen levels: 3 random rows, a random
+    j-prefix function at full depth for each j < depth (its pairs first
+    differ before index j), a constant row, and a random row whose extreme
+    values sit on two deepest-level siblings (it settles at the deepest
+    level) when there are such siblings."""
+    width = len(sft.codes(depth))
+    rows = list(rng.uniform(low, high, size=(3, width)))
+    rows += [CylinderFunction(sft, j, rng.uniform(low, high, size=len(sft.codes(j))))
+             .with_depth(depth).array for j in range(1, depth)]
+    rows.append(np.full(width, rng.uniform(low, high)))
+    parents = sft.prefix_index(depth, depth - 1) if depth > 1 else np.zeros(width)
+    siblings = np.flatnonzero(parents[1:] == parents[:-1])
+    if len(siblings):
+        deep = rng.uniform(low, high, size=width)
+        deep[siblings[0]], deep[siblings[0] + 1] = low - abs(low) / 2, 2 * high
+        rows.append(deep)
+    return np.array(rows)
+
+
 def test_prefix_tree_rows_match_one_function_reference():
     # every shift on 1..3 symbols (sibling groups of uneven size, as in the
     # golden mean) at depths 1..6: the lip_theta form (first = offset = 0) on
     # signed rows and the distortion_check forms (first = k + 1, offset = k)
-    # on positive rows, row for row and bit for bit
+    # on positive rows, bit for bit against the row pass without the early
+    # exit and, on the 3 random rows, the one-function pass.  The rows
+    # include ones whose maximum sits at a shallow level, and each goes
+    # through as a stack of its own too, so the pass may stop at any level
     rng = np.random.default_rng(14)
     shifts = [t for t in _valid_shifts() if len(t) <= 3]
     assert len(shifts) == 273
     for t in shifts:
         sft = Sft(len(t), t, 0.6)
         for depth in range(1, 7):
-            width = len(sft.codes(depth))
-            signed = rng.uniform(-1.0, 1.0, size=(3, width))
-            positive = rng.uniform(0.1, 1.0, size=(3, width))
+            signed = _shaped_rows(sft, rng, depth, -1.0, 1.0)
+            positive = _shaped_rows(sft, rng, depth, 0.1, 1.0)
             forms = [(signed, 0, 0, LIP_TERM)] + [
                 (positive, k + 1, k, DISTORTION_TERM) for k in range(1, depth)]
             for values, first, offset, term in forms:
                 got = sf._prefix_tree_sup(sft, values, depth, first, offset, term)
-                assert got.shape == (3,)
-                assert got.tolist() == [ref_prefix_tree_sup(sft, row, depth, first,
-                                                            offset, term)
-                                        for row in values], (t, depth, first)
+                assert got.shape == (len(values),)
+                assert got.tobytes() == ref_row_prefix_tree_sup(
+                    sft, values, depth, first, offset, term).tobytes(), (t, depth, first)
+                assert got[:3].tolist() == [ref_prefix_tree_sup(sft, row, depth, first,
+                                                                offset, term)
+                                            for row in values[:3]], (t, depth, first)
+                alone = [sf._prefix_tree_sup(sft, row[None], depth, first, offset, term)[0]
+                         for row in values]
+                assert alone == got.tolist(), (t, depth, first)
             assert CylinderFunction(sft, depth, signed[0]).lip_theta() == \
                 ref_prefix_tree_sup(sft, signed[0], depth, 0, 0, LIP_TERM)
 
@@ -379,6 +439,9 @@ def test_negative_step_count_rejected():
             transfer_apply_word(FULL, ws, CylinderFunction.constant(FULL, 1.0), n)
         with pytest.raises(ValueError, match="non-negative"):
             rn(FULL, ws, n)
+        with pytest.raises(ValueError, match="non-negative"):
+            lipschitz_ly_check(FULL, ws, n, [CylinderFunction.constant(FULL, 1.0)],
+                               r_n=1.0, k_constant=2.0)
     assert rn(FULL, ws, 0) == 1.0
 
 
@@ -675,6 +738,38 @@ def test_smoothing_default_k_is_sandwich_k():
         passed = lipschitz_ly_check(FULL, ws, n, [CylinderFunction.constant(FULL, 1.0)],
                                     k_constant=sandwich.k_constant, r_n=sandwich.r_n)
         assert passed == default
+
+
+def ref_lipschitz_slacks(sft, weights, n, samples, k_constant, r_n):
+    # the per-sample loop the stacked check replaced: one n-step transfer and
+    # two one-row tree passes per sample
+    slacks = []
+    for f in samples:
+        image = transfer_apply_word(sft, weights, f, n)
+        rhs = r_n * (sft.theta ** n * f.lip_theta() + k_constant * f.sup_norm())
+        slacks.append(float(rhs - image.lip_theta()))
+    return tuple(slacks)
+
+
+@pytest.mark.parametrize("name", ["full2", "golden", "full3"])
+def test_smoothing_stacks_match_per_sample_loop(name):
+    # samples of depths 1..5 in shuffled order, a constant among them: the
+    # slacks of the one-stack-per-depth check equal the loop's, in input
+    # order and bit for bit
+    sft = {"full2": FULL, "golden": GOLDEN, "full3": FULL3}[name]
+    rng = np.random.default_rng(16)
+    samples = [CylinderFunction(sft, depth, rng.uniform(-1.0, 1.0, size=len(sft.codes(depth))))
+               for depth in range(1, 6) for _ in range(4)]
+    samples.append(CylinderFunction.constant(sft, 0.7, 3))
+    samples = [samples[j] for j in rng.permutation(len(samples))]
+    weights = _random_weights(sft, 3)
+    for n in (1, 2, 3):
+        rep = lipschitz_ly_check(sft, weights, n, samples)
+        assert rep.slacks == ref_lipschitz_slacks(sft, weights, n, samples,
+                                                  rep.k_constant, rep.r_n), n
+        passed = lipschitz_ly_check(sft, weights, n, samples, k_constant=2.5, r_n=1.25)
+        assert passed.slacks == ref_lipschitz_slacks(sft, weights, n, samples, 2.5, 1.25), n
+    assert lipschitz_ly_check(sft, weights, 2, []).slacks == ()
 
 
 # -- norm and covering-number sandwich --------------------------------------------------
