@@ -266,7 +266,7 @@ class SpectrumReport:
     `filtration_complement` span the orthogonal complement of V_{i+1}.  The
     residuals are, per block, the equivariance gaps, the self-applied
     uniqueness values and the convergence (Cauchy) gaps, plus the smallest
-    singular value of [E_1, ..., E_p, V_{p+1}].
+    singular value of [E_1, ..., E_p, V_{p+1}].  Every frame is at coordinate 0.
     """
 
     exponents: tuple[float, ...]
@@ -278,7 +278,6 @@ class SpectrumReport:
     cauchy_gap: tuple[float, ...]
     direct_sum_min_sv: float
     n_used: int
-    n_past_used: int
     gap_tolerance: float = GAP_TOLERANCE
 
     def __post_init__(self):
@@ -338,14 +337,18 @@ def _closing_column(m: int, sig: float, *cols) -> tuple[float, float, float]:
     return (sig * (y * w - z * v), sig * (z * u - x * w), sig * (x * v - y * u))
 
 
+def _at_least(name: str, count: int, least: int) -> None:
+    if count < least:
+        raise ValueError(f"{name} must be at least {least}")
+
+
 def compose(gen: Generator, window: OmegaWindow, n: int) -> np.ndarray:
     """The n-step product along the window starting at coordinate 0.
 
     n = 0 returns the identity (empty product convention); the factor for
     coordinate j is applied first for j = 0.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _at_least("n", n, 0)
     out = np.eye(gen.dim)
     for s in window.symbols(0, n):
         out = gen.matrix(s) @ out
@@ -582,8 +585,7 @@ def lyapunov_exponents(
     gen, driving : the cocycle; `driving` may be omitted when `window` is given.
     n : number of steps (requires n future symbols).
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _at_least("n", n, 1)
     if window is None:
         if driving is None:
             raise ValueError("need a driving system or an explicit window")
@@ -601,8 +603,7 @@ def directional_exponent(gen: Generator, window: OmegaWindow, n: int,
     `v` is a finite vector of length gen.dim: DimensionMismatch for another
     shape, ValueError for a non-finite entry.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _at_least("n", n, 1)
     v = np.asarray(v, dtype=float)
     if v.shape != (gen.dim,):
         raise DimensionMismatch(f"direction of shape {v.shape} for a {gen.dim}-dim generator")
@@ -640,6 +641,7 @@ def forward_filtration(
     product whose growth rates fall at or below the (i+1)-th spectrum block.
     The trailing space (below the last block) is included when nontrivial.
     """
+    _at_least("n", n, 1)
     w, steps, _ = _propagate(gen.stack, window.symbols(0, n), reverse=True)
     w, rates = _sorted_columns(w, steps, _default_burn(n))
     m = gen.dim
@@ -719,8 +721,7 @@ def oseledets_splitting(
         raise ValueError("blocks must be at least 1")
     if start is not None and blocks is None:
         raise ValueError("start needs blocks: the default pass starts from the axes")
-    if n_past < 2:
-        raise ValueError("n_past must be at least 2: the Cauchy check uses half the past")
+    _at_least("n_past", n_past, 2)
     if window is None:
         if driving is None:
             raise ValueError("need a driving system or an explicit window")
@@ -818,7 +819,6 @@ def oseledets_splitting(
         cauchy_gap=tuple(cauchy),
         direct_sum_min_sv=direct_sum_min_sv(f, w),
         n_used=n_future,
-        n_past_used=n_past,
         gap_tolerance=gap_tolerance,
     )
 
@@ -827,17 +827,18 @@ def oseledets_splitting(
 # diagnostics
 # ---------------------------------------------------------------------------
 
-def _step_factors(mats, symbols, frames):
-    """The R factors of a QR pass over `symbols` from its frames {t: Q_t},
-    t = 0..len(symbols), as one (steps, k, k) array.
+def _step_factors(mats, symbols, q):
+    """The final frame of the QR pass over `symbols` from the frame `q`, and
+    the pass's R factors as one (steps, k, k) array.
 
     A_{s_t} Q_{t-1} = Q_t R_t makes R_t = Q_t^T A_{s_t} Q_{t-1}.  The product
     is cut to its upper triangle: the rounding below the diagonal, carried
     through a long product, mixes the directions of distinct rates and makes
     them look like one conformal block.
     """
-    q = np.stack([frames[t] for t in range(len(symbols) + 1)])
-    return np.triu(q[1:].transpose(0, 2, 1) @ mats[symbols] @ q[:-1])
+    q, _, frames = _propagate(mats, symbols, q, record=range(len(symbols) + 1))
+    qs = np.stack([frames[t] for t in range(len(symbols) + 1)])
+    return q, np.triu(qs[1:].transpose(0, 2, 1) @ mats[symbols] @ qs[:-1])
 
 
 def _log_top_sv(factors: np.ndarray) -> float:
@@ -872,9 +873,8 @@ def uniform_growth_check(
     on its diagonal.  For an invariant family with a single exponent both
     rates approach that exponent.
     """
-    mats, symbols = gen.stack, window.symbols(0, n)
-    frames = _propagate(mats, symbols, e.frame, record=range(n + 1))[2]
-    factors = _step_factors(mats, symbols, frames)
+    _at_least("n", n, 1)
+    factors = _step_factors(gen.stack, window.symbols(0, n), e.frame)[1]
     rate_sup = _log_top_sv(factors) / n
     if not np.all(np.diagonal(factors, axis1=1, axis2=2)):
         return float("-inf"), rate_sup
@@ -899,9 +899,10 @@ def backward_decay_check(
     self-correcting toward E_i.  The fast sum comes from a pass that starts
     50 steps before coordinate -n_past (so the window needs n_past + 50 past
     symbols); the rate is the least-squares slope of log ||v_{-k}|| over
-    k = max(1, n_past // 5)..n_past.  Raises RestrictedSingular when a
-    restricted one-step factor has condition number above 1e12.
+    k = max(1, n_past // 5)..n_past, so n_past >= 2.  Raises RestrictedSingular
+    when a restricted one-step factor has condition number above 1e12.
     """
+    _at_least("n_past", n_past, 2)
     if i < 1 or i > report.p:
         raise ValueError(f"block index {i} out of range 1..{report.p}")
     c_i = report.block_ends[i - 1]
@@ -912,8 +913,7 @@ def backward_decay_check(
     mats, symbols = gen.stack, window.symbols(start, 0)
     u_far, steps, _ = _propagate(mats, symbols, reverse=True)
     q = _sorted_columns(u_far, steps, min(burn, len(symbols) // 2))[0][:, :c_i]
-    q, _, frames = _propagate(mats, symbols, q, record=range(len(symbols) + 1))
-    r_blocks = _step_factors(mats, symbols, frames)[burn:]
+    q, r_blocks = _step_factors(mats, symbols, q)
     # q now spans the fast sum at coordinate 0
     v = report.splitting[i - 1].frame[:, 0]
     a = q.T @ v
@@ -955,9 +955,12 @@ def uniqueness_diagnostic(
     restricted to the pushed-forward candidate.  For the report's own E_i the
     series stays at numerical zero; for a genuinely different equivariant
     candidate it decays geometrically at about the rate difference between
-    blocks i and i+1.  The filtration at coordinate k comes from the product
-    over [k, n + n_used), so the window needs n + n_used future symbols.
+    blocks i and i+1.  `report` must be this window's splitting: by
+    equivariance the fast sum at k is the k-step push of its E_1 ⊕ ... ⊕ E_i
+    (DimensionMismatch when rank deficient), and the filtration at k comes from
+    the product over [k, n + n_used), so only coordinates 0..n + n_used - 1 are read.
     """
+    _at_least("n", n, 0)
     if i < 1 or i > report.p:
         raise ValueError(f"block index {i} out of range 1..{report.p}")
     c_prev, c_i = (0, *report.block_ends)[i - 1:i + 1]
@@ -965,17 +968,14 @@ def uniqueness_diagnostic(
         raise ValueError("the last block has no complementary filtration space")
     if candidate.d != report.multiplicities[i - 1]:
         raise NotComplementary("candidate dimension does not match the block")
-    tail, n_past = report.n_used, report.n_past_used
-    n_total = n_past + n + tail
-    mats = gen.stack
+    tail, mats = report.n_used, gen.stack
 
-    # one reverse pass: the far-past frame to push forward, and the
-    # filtration frames at coordinates k = 0..n (after n + tail - k steps)
-    _, steps, rev = _propagate(mats, window.symbols(-n_past, n + tail), reverse=True,
-                               record={n_total, *range(tail, n + tail + 1)})
-    u_far, _ = _sorted_columns(rev[n_total], steps, _default_burn(n_total))
-    _, _, fw = _propagate(mats, window.symbols(-n_past, n), u_far[:, :c_i],
-                          record=range(n_past, n_past + n + 1))
+    # the filtration frames at k = 0..n (after n + tail - k reverse steps), and
+    # the pushed fast sum: QR columns are nested, so its first c_prev span the faster blocks
+    _, steps, rev = _propagate(mats, window.symbols(0, n + tail), reverse=True,
+                               record=range(tail, n + tail + 1))
+    fast = Subspace.from_spanning(np.hstack([e.frame for e in report.splitting[:i]]))
+    _, _, fw = _propagate(mats, window.symbols(0, n), fast.frame, record=range(n + 1))
     # the candidate's pushes; a step collapses it when its smallest
     # |diag R| is below 1e-12 * max(1, largest |diag R|)
     _, cand_steps, cands = _propagate(mats, window.symbols(0, n), candidate.frame,
@@ -985,10 +985,8 @@ def uniqueness_diagnostic(
 
     out = np.empty(n + 1)
     for k in range(n + 1):
-        qk = fw[n_past + k]
-        t = n + tail - k
+        qk, cand, t = fw[k], cands[k], n + tail - k
         wk = _sorted_columns(rev[t], steps[:t])[0][:, :c_i]
-        cand = cands[k]
         # the candidate must complement V_{i+1} within V_i: together with the
         # faster blocks it has to span the whole space
         if direct_sum_min_sv(np.hstack([qk[:, :c_prev], cand]), wk) < DIRECT_SUM_MIN_SV:

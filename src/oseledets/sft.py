@@ -449,8 +449,8 @@ def _transfer_rows(sft: Sft, weights: Sequence[CylinderFunction], values: np.nda
     """
     n_sym = sft.n_symbols
     # the runs of legal successors: the rises and falls of each transition row
-    spans = [(s, t0, t1) for s, row in enumerate(sft.transitions)
-             for t0, t1 in np.flatnonzero(np.diff(row, prepend=0, append=0)).reshape(-1, 2)]
+    rows, ends = np.nonzero(np.diff(sft.transitions, axis=1, prepend=0, append=0))
+    spans = list(zip(rows[::2].tolist(), ends[::2].tolist(), ends[1::2].tolist()))
     for g in weights:
         out_depth = max(1, max(depth, g.depth) - 1)
         full = out_depth + 1

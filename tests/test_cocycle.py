@@ -138,6 +138,20 @@ def test_exponents_need_a_step():
             directional_exponent(DIAG, const_window(0, 50), n, np.ones(2))
         with pytest.raises(ValueError, match="n must be at least 1"):
             lyapunov_exponents(DIAG, CONST_DRIVING, n=n)
+    # the diagnostics refuse a count they cannot use before any pass
+    w = const_window(300, 120)
+    rep = oseledets_splitting(DIAG, None, w, n_past=200, n_future=50)
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            uniform_growth_check(DIAG, w, rep.splitting[0], n)
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            forward_filtration(DIAG, w, n, [(LOG2, 1), (-LOG2, 1)])
+    for n_past in (1, 0, -3):  # the slope fit needs two points
+        with pytest.raises(ValueError, match="n_past must be at least 2"):
+            backward_decay_check(DIAG, w, rep, 1, n_past)
+    with pytest.raises(ValueError, match="n must be at least 0"):
+        uniqueness_diagnostic(DIAG, w, rep.splitting[0], rep, 1, -1)
+    assert len(uniqueness_diagnostic(DIAG, w, rep.splitting[0], rep, 1, 0)) == 1
 
 
 def test_generator_rejects_bad_symbols():
@@ -558,7 +572,7 @@ def test_kernel_modes_match_exact_products():
     q_ref, r_ref = cc._qr_pos(prod)
     assert np.allclose(q, q_ref, atol=1e-10)
     assert np.allclose(steps.sum(axis=0), np.log(np.diag(r_ref)), atol=1e-10)
-    r_total = np.linalg.multi_dot(list(cc._step_factors(gen.stack, symbols, recorded))[::-1])
+    r_total = np.linalg.multi_dot(list(cc._step_factors(gen.stack, symbols, np.eye(3))[1])[::-1])
     assert np.allclose(r_total, r_ref, atol=1e-10)
     assert np.array_equal(recorded[0], np.eye(3)) and recorded[12] is q
     q_rev, steps_rev, _ = cc._propagate(gen.stack, symbols, reverse=True)
@@ -596,10 +610,12 @@ def assert_matches_reference(mats, symbols, q0, reverse, qr_pos=cc._qr_pos):
     # the R factors rebuilt from the frames of every step: upper triangular
     # with a positive diagonal where the reference's is positive, each within
     # round-off of the reference, and with the same running product
-    frames = cc._propagate(mats, symbols, q0, reverse=reverse, record=range(n + 1))[2]
+    # (a reverse pass is the forward pass of the transposed factors in
+    # reverse symbol order)
     if reverse:
         mats, symbols = mats.transpose(0, 2, 1), symbols[::-1]
-    rs = cc._step_factors(mats, symbols, frames)
+    q_last, rs = cc._step_factors(mats, symbols, q0)
+    assert np.array_equal(q_last, q)
     assert len(rs) == n
     prod, prod_ref = np.eye(q0.shape[1]), np.eye(q0.shape[1])
     for r, r_ref in zip(rs, rs_ref):
@@ -838,7 +854,7 @@ def test_scalar_kernel_without_steps():
     mats, symbols = np.eye(3)[None], np.zeros(0, dtype=int)
     q, steps, recorded = cc._propagate(mats, symbols, q0, record={0})
     assert q is q0 and list(recorded) == [0] and recorded[0] is q0
-    assert steps.shape == (0, 2) and cc._step_factors(mats, symbols, recorded).shape == (0, 2, 2)
+    assert steps.shape == (0, 2) and cc._step_factors(mats, symbols, q0)[1].shape == (0, 2, 2)
 
 
 def test_splitting_propagation_step_count(monkeypatch):
@@ -996,21 +1012,39 @@ def test_uniqueness_diagnostic_own_block_is_zero():
 
 @pytest.mark.parametrize("i", [1, 2])
 def test_uniqueness_diagnostic_pushes_only_the_columns_it_reads(monkeypatch, i):
-    # the far-past frame goes forward at width c_i, not m
+    # the report's fast sum goes forward at width c_i, not m, and no pass
+    # reads a symbol before coordinate 0: the reverse pass covers the
+    # n + n_used symbols of the filtration, each push the n steps
     gen = Generator.from_list([np.diag([4.0, 2.0, 1.0, 0.5])])
     w = const_window(300, 120)
     rep = oseledets_splitting(gen, None, w, n_past=200, n_future=50)
     tilted = Subspace.span(np.eye(4)[i - 1] + 0.4 * np.eye(4)[i])
-    widths, propagate = [], cc._propagate
+    passes, propagate = [], cc._propagate
 
     def spy(mats, symbols, q=None, **kwargs):
-        widths.append((kwargs.get("reverse", False), len(mats[0]) if q is None else q.shape[1]))
+        passes.append((kwargs.get("reverse", False), len(mats[0]) if q is None else q.shape[1],
+                       len(symbols)))
         return propagate(mats, symbols, q, **kwargs)
 
     monkeypatch.setattr(cc, "_propagate", spy)
     series = uniqueness_diagnostic(gen, w, tilted, rep, i, 25)
-    assert widths == [(True, 4), (False, rep.block_ends[i - 1]), (False, 1)]
+    assert passes == [(True, 4, 25 + 50), (False, rep.block_ends[i - 1], 25), (False, 1, 25)]
     assert series[0] > 0.1 and series[-1] < 1e-5
+
+
+def test_uniqueness_diagnostic_reads_no_past():
+    # a window with its past cut off gives the full window's series bit for bit
+    drv = DrivingSystem.iid([0.5, 0.5], seed=13)
+    rng = np.random.default_rng(12)
+    gen = Generator.from_list([np.diag(rng.uniform(0.5, 4.0, size=4)) for _ in range(2)])
+    w = drv.sample_window(150, 80)
+    rep = oseledets_splitting(gen, None, w, n_past=150, n_future=40)
+    tilted = np.array(rep.splitting[0].frame, copy=True)
+    tilted[:, 0] += 0.25 * rep.filtration[0].frame[:, 0]
+    for cand in (rep.splitting[0], Subspace.from_spanning(tilted)):
+        series = uniqueness_diagnostic(gen, w, cand, rep, 1, 30)
+        cut = uniqueness_diagnostic(gen, OmegaWindow(w.future, 0), cand, rep, 1, 30)
+        assert np.array_equal(series, cut)
 
 
 def test_uniqueness_diagnostic_tilted_candidate_decay_rate():
@@ -1022,6 +1056,10 @@ def test_uniqueness_diagnostic_tilted_candidate_decay_rate():
     slope = np.polyfit(np.arange(26)[mask], np.log(series[mask]), 1)[0]
     expected = -(rep.exponents[0] - rep.exponents[1])
     assert slope == pytest.approx(expected, rel=0.10)
+    # closed form: L^k (1, a) = (2^k, a 2^-k), projected onto span(e_2) along
+    # span(e_1), over the norm of the pushed unit candidate
+    k, a = np.arange(26), 0.4
+    assert series == pytest.approx(a * 4.0 ** -k / np.sqrt(1 + a * a * 16.0 ** -k), rel=1e-12)
 
 
 # -- the m×m assembly, kept as the exact reference ----------------------------
@@ -1102,12 +1140,13 @@ def mm_splitting(gen, window, n_past, n_future, blocks=None, kappa_estimate=None
     return filtration, g0, min_sv
 
 
-def mm_uniqueness_series(gen, window, candidate, report, i, n):
-    """`uniqueness_diagnostic` with an m×m `mm_project_along` at every step."""
+def mm_uniqueness_series(gen, window, candidate, report, i, n, n_past):
+    """`uniqueness_diagnostic` with an m×m `mm_project_along` at every step,
+    its fast sums pushed forward from the far past, n_past steps back."""
     c_i = report.block_ends[i - 1]
     c_prev = 0 if i == 1 else report.block_ends[i - 2]
     m, mats = gen.dim, gen.stack
-    tail, n_past = report.n_used, report.n_past_used
+    tail = report.n_used
     n_total = n_past + n + tail
     _, steps, rev = cc._propagate(mats, window.symbols(-n_past, n + tail), reverse=True,
                                   record={n_total, *range(tail, n + tail + 1)})
@@ -1169,7 +1208,7 @@ def assert_matches_mm_route(gen, window, n_past, n_future, blocks=None, kappa_es
         tilted[:, 0] += 0.25 * got.filtration[0].frame[:, 0]
         for cand in (got.splitting[0], Subspace.from_spanning(tilted)):
             series = outcome(lambda: uniqueness_diagnostic(gen, window, cand, got, 1, g_len))
-            ref = outcome(lambda: mm_uniqueness_series(gen, window, cand, got, 1, g_len))
+            ref = outcome(lambda: mm_uniqueness_series(gen, window, cand, got, 1, g_len, n_past))
             if isinstance(series, Exception) or isinstance(ref, Exception):
                 assert_failed_alike(series, ref)
             else:
