@@ -7,6 +7,8 @@ Subcommands: run, sweep, plotdata, lemma-suite.  Exit codes are stable:
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import sys
 
 from ..errors import ConfigError
@@ -18,6 +20,9 @@ from .lemmas import run_lemma_suite
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+
+# skip the interpreter's last collection, a walk over every live object at exit
+atexit.register(gc.freeze)
 
 
 def _build_parser() -> argparse.ArgumentParser:

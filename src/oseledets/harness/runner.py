@@ -67,12 +67,13 @@ def run_interval(cfg: RunConfig) -> dict:
     num, (maps, driving) = cfg.built
     sys = iv.RandomIntervalSystem(tuple(maps), driving)
     k, n_past, n_future = num["k"], num["n_past"], num["n_future"]
-    acim = iv.random_acim(sys, None, k=k, n_past=n_past, n_future=n_future)
+    window = sys.driving.sample_window(n_past, n_future)
+    acim = iv.random_acim(sys, window, k=k, n_past=n_past, n_future=n_future)
     density = acim.densities[0]
-    # refinement diagnostic: L1 distance against half the bin count
+    # refinement diagnostic: L1 distance against half the bin count, on the same window
     cauchy_density = float("nan")
     if k % 2 == 0 and k >= 2:
-        coarse = iv.random_acim(sys, None, k=k // 2, n_past=n_past,
+        coarse = iv.random_acim(sys, window, k=k // 2, n_past=n_past,
                                 n_future=n_future)
         fine_on_coarse = 0.5 * (density[0::2] + density[1::2])
         cauchy_density = float(np.mean(np.abs(fine_on_coarse - coarse.densities[0])))

@@ -15,9 +15,11 @@ base-A codes (`Sft.codes`); sorted codes are the lexicographic order of the
 words, and every array aligned to words follows it.  In that order the words
 that share a prefix are consecutive, and for a 1-step shift how many there are
 depends only on the prefix's last symbol, so the maps between depths need no
-search: `Sft.prefix_index` is a run-length repeat, and a transfer step adds
-contiguous slices, one per run of legal transitions s -> t.  Codes are int64,
-so a depth needs A^depth < 2^63.
+search: a word ending in symbol a has N_j[a] legal j-symbol continuations
+(`Sft.counts`), a greater depth is a run-length repeat by `Sft.runs`, and a
+transfer step adds contiguous slices, one per run of legal transitions
+s -> t, bounded by running sums of the counts (`Sft.slices`).  Codes are
+int64, so a depth needs A^depth < 2^63.
 
 The two cylinder kernels work on stacks of value rows, arrays of shape
 (rows, W_depth) that hold one function of a common depth per row:
@@ -141,18 +143,38 @@ class Sft:
             raise IllegalWord(f"not the code of a legal word of length {depth}")
         return pos
 
-    def prefix_index(self, depth: int, d: int) -> np.ndarray:
-        """Index at depth d of the d-prefix of every depth-`depth` word: each
-        d-word repeated once per legal continuation.  A word ending in symbol
-        a has N_j[a] continuations of j symbols, with N_0 = 1, N_(j+1) = T N_j."""
+    def counts(self, j: int) -> np.ndarray:
+        """N_j[a]: legal j-symbol continuations of a word ending in a; N_0 = 1, N_(j+1) = T N_j."""
+        key = ("counts", j)
+        if key not in self._cache:
+            if j < 0:
+                raise ValueError("need j >= 0")
+            self._cache[key] = (np.ones(self.n_symbols, dtype=np.int64) if j == 0
+                                else self.transitions.astype(np.int64) @ self.counts(j - 1))
+        return self._cache[key]
+
+    def runs(self, depth: int, d: int) -> np.ndarray:
+        """Depth-`depth` words per d-word in code order: N_(depth-d)[a], a its last symbol."""
         if not 1 <= d <= depth:
             raise ValueError("need 1 <= d <= depth")
-        step = self.transitions.astype(np.int64)
-        counts = np.ones(self.n_symbols, dtype=np.int64)
-        for _ in range(depth - d):
-            counts = step @ counts
-        runs = counts[self.codes(d) % self.n_symbols]
+        return self.counts(depth - d)[self.codes(d) % self.n_symbols]
+
+    def prefix_index(self, depth: int, d: int) -> np.ndarray:
+        """Index at depth d of the d-prefix of every depth-`depth` word: each
+        d-word repeated once per legal continuation."""
+        runs = self.runs(depth, d)
         return np.repeat(np.arange(len(runs)), runs)
+
+    def slices(self, depth: int) -> tuple[list[int], list[int]]:
+        """(pair, block): the depth-(depth + 1) words s t ... start at code
+        position pair[s A + t] and the depth-`depth` words t ... at block[t];
+        running sums of the word counts N_(depth-1)[t] of each head."""
+        key = ("slices", depth)
+        if key not in self._cache:
+            per_head = self.counts(depth - 1)
+            pair = np.cumsum(self.transitions * per_head, axis=None)
+            self._cache[key] = ([0] + pair.tolist(), [0] + np.cumsum(per_head).tolist())
+        return self._cache[key]
 
     def representative_index(self, n: int, depth: int) -> np.ndarray:
         """Index at `depth` of the representative point of every depth-n cylinder."""
@@ -307,7 +329,7 @@ class CylinderFunction:
         if depth == self.depth:
             return self
         return CylinderFunction(self.sft, depth,
-                                self.array[self.sft.prefix_index(depth, self.depth)])
+                                np.repeat(self.array, self.sft.runs(depth, self.depth)))
 
     # -- norms ------------------------------------------------------------------
 
@@ -377,7 +399,6 @@ def _prefix_tree_sup(sft: Sft, values: np.ndarray, depth: int, first: int,
     bound is not finite never stops the pass.
     """
     n_sym = sft.n_symbols
-    successors = sft.transitions.sum(axis=1)
     levels = range(depth, first, -1)
     scales = [sft.theta ** (d - 1 - offset) for d in levels]
     # above[j]: the smallest scale of the levels after levels[j]
@@ -388,7 +409,7 @@ def _prefix_tree_sup(sft: Sft, values: np.ndarray, depth: int, first: int,
     lo = hi = values
     best = np.zeros(len(values))
     for j, d in enumerate(levels):
-        runs = successors[sft.codes(d - 1) % n_sym] if d > 1 else np.array([n_sym])
+        runs = sft.runs(d, d - 1) if d > 1 else np.array([n_sym])
         end = np.cumsum(runs) - 1
         start = end - runs + 1
         for r in range(1, n_sym):
@@ -445,7 +466,8 @@ def _transfer_rows(sft: Sft, weights: Sequence[CylinderFunction], values: np.nda
     the same words in the same order.  So a step adds one slice per run
     t0..t1-1 of consecutive legal successors of s, in order of s, and every
     output value is a sum over its legal preimage symbols in order, starting
-    at +0.0.
+    at +0.0.  The slices come from `Sft.slices` and values and weights reach
+    depth `full` by `Sft.runs`, so a step builds no index map and no search.
     """
     n_sym = sft.n_symbols
     # the runs of legal successors: the rises and falls of each transition row
@@ -455,13 +477,9 @@ def _transfer_rows(sft: Sft, weights: Sequence[CylinderFunction], values: np.nda
         out_depth = max(1, max(depth, g.depth) - 1)
         full = out_depth + 1
         if depth < full:
-            values = values[:, sft.prefix_index(full, depth)]
-        g_full = g.array if g.depth == full else g.array[sft.prefix_index(full, g.depth)]
-        # the words s t ... start at pair[s A + t], the output words t ... at
-        # block[t]: the code positions of the heads s t 0 ... 0 and t 0 ... 0
-        heads = np.arange(n_sym * n_sym + 1) * n_sym ** (out_depth - 1)
-        pair = np.searchsorted(sft.codes(full), heads).tolist()
-        block = np.searchsorted(sft.codes(out_depth), heads[:n_sym + 1]).tolist()
+            values = np.repeat(values, sft.runs(full, depth), axis=1)
+        g_full = g.array if g.depth == full else np.repeat(g.array, sft.runs(full, g.depth))
+        pair, block = sft.slices(out_depth)
         out = np.zeros((len(values), block[-1]))
         for s, t0, t1 in spans:
             src = slice(pair[s * n_sym + t0], pair[s * n_sym + t1])
@@ -505,6 +523,12 @@ def cylinder_projection(sft: Sft, f: CylinderFunction, n: int) -> CylinderFuncti
     if f.depth <= n:
         return f
     return CylinderFunction(sft, n, f.array[sft.representative_index(n, f.depth)])
+
+
+def _projection_rows(sft: Sft, values: np.ndarray, depth: int, n: int) -> np.ndarray:
+    """`cylinder_projection` onto depth n <= `depth` of every row of a
+    depth-`depth` stack, re-expressed at `depth`."""
+    return np.repeat(values[:, sft.representative_index(n, depth)], sft.runs(depth, n), axis=1)
 
 
 def transfer_matrix(sft: Sft, g: CylinderFunction) -> tuple[np.ndarray, list[Word]]:
@@ -745,12 +769,9 @@ def norm_and_ic_bounds(
             values = values * (1.0 / norms)[:, None]
             image = _transfer_rows(sft, steps, values, depth)
         op_est = max(op_est, float(np.max(_theta_norm_rows(sft, *image))))
-        # f minus its projection onto depth m_proj (`cylinder_projection`)
-        proj = values
-        if depth > m_proj:
-            proj = values[:, sft.representative_index(m_proj, depth)
-                          [sft.prefix_index(depth, m_proj)]]
-        resid = values - proj
+        # f minus its projection onto depth m_proj
+        resid = values - (_projection_rows(sft, values, depth, m_proj)
+                          if depth > m_proj else values)
         ic_upper = max(ic_upper, float(np.max(
             _theta_norm_rows(sft, *_transfer_rows(sft, steps, resid, depth)))))
 

@@ -445,14 +445,27 @@ def test_cli_driving_size_mismatch_is_config_error(tmp_path, capsys, text):
 
 
 def test_console_entry_point(tmp_path, child_env):
-    cfg_path = write_cfg(tmp_path, INTERVAL_CFG)
-    proc = subprocess.run(
-        [sys.executable, "-m", "oseledets.harness.cli", "run",
-         "--config", cfg_path],
-        capture_output=True, text=True, env=child_env)
-    assert proc.returncode == 0
-    record = json.loads(proc.stdout.strip().split("\n")[-1])
-    assert record["status"] == "ok"
+    # the CLI freezes the collector at exit instead of running its last
+    # collection: a fresh process still writes its record to --out and to
+    # stdout, the same record after strip_volatile, and a numerical failure
+    # still exits 3 with its record written
+    failing = COCYCLE_CFG.replace("[[2, 0], [0, 0.5]]", "[[1, 1], [0, 1]]")
+    for name, text, code in (("ok", INTERVAL_CFG, 0), ("fail", failing, 3)):
+        cfg_path = write_cfg(tmp_path, text, name=f"{name}.cfg")
+        out_path = str(tmp_path / f"{name}.ndjson")
+        records = []
+        for extra in (["--out", out_path], []):
+            proc = subprocess.run(
+                [sys.executable, "-m", "oseledets.harness.cli", "run",
+                 "--config", cfg_path, *extra],
+                capture_output=True, text=True, env=child_env)
+            assert proc.returncode == code, proc.stderr
+            records.append(rec.read_records(out_path) if extra
+                           else [json.loads(line) for line in proc.stdout.splitlines()])
+        assert len(records[0]) == 1
+        assert records[0][0]["status"] == ("ok" if code == 0 else "error")
+        assert [rec.dumps(rec.strip_volatile(r)) for r in records[0]] \
+            == [rec.dumps(rec.strip_volatile(r)) for r in records[1]]
 
 
 def test_cli_import_skips_scipy_optimize(tmp_path, child_env):

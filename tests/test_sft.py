@@ -421,13 +421,55 @@ def test_transfer_matrix_matches_symbol_loop_reference():
             assert mat.tobytes() == ref_transfer_matrix(sft, g).tobytes(), (t, depth)
 
 
+def test_run_length_tables_match_gather_references():
+    # every shift on 1..3 symbols at depths 1..8: the run-length repeats equal
+    # the tuple-word prefix maps, the slice tables equal the searchsorted of
+    # the heads s t 0 ... 0 and t 0 ... 0, and `with_depth` and the m_proj
+    # projection rows equal their gathers bit for bit
+    rng = np.random.default_rng(32)
+    for t in (t for t in _valid_shifts() if len(t) <= 3):
+        sft = Sft(len(t), t, 0.5)
+        a = sft.n_symbols
+        words = {d: ref_words(sft, d) for d in range(1, 9)}
+        index = {d: {w: i for i, w in enumerate(words[d])} for d in words}
+        for depth in range(1, 9):
+            rows = rng.uniform(-1.0, 1.0, size=(2, len(words[depth])))
+            for d in range(1, depth + 1):
+                ref = np.array([index[d][w[:d]] for w in words[depth]], dtype=np.int64)
+                runs = sft.runs(depth, d)
+                assert np.array_equal(np.repeat(np.arange(len(words[d])), runs), ref)
+                assert np.array_equal(sft.prefix_index(depth, d), ref)
+                f = CylinderFunction(sft, d, rows[0, :len(words[d])])
+                assert f.with_depth(depth).array.tobytes() == f.array[ref].tobytes()
+                gather = rows[:, sft.representative_index(d, depth)[ref]]
+                assert sf._projection_rows(sft, rows, depth, d).tobytes() == gather.tobytes()
+            if depth < 8:
+                heads = np.arange(a * a + 1) * a ** (depth - 1)
+                pair, block = sft.slices(depth)
+                assert pair == np.searchsorted(sft.codes(depth + 1), heads).tolist()
+                assert block == np.searchsorted(sft.codes(depth), heads[:a + 1]).tolist()
+
+
 def test_cache_keeps_no_index_maps():
     # the index maps are rebuilt on every call, so a sandwich leaves only
-    # codes, representative gathers and the irreducibility flag behind
-    sft = Sft.full(2, 0.5)
-    norm_and_ic_bounds(sft, [stochastic_weight(0.8, sft)] * 10, 10, 4, n_samples=3)
-    assert {key[0] if isinstance(key, tuple) else key for key in sft._cache} \
-        <= {"codes", "representative", "irreducible"}
+    # codes, representative gathers, the irreducibility flag and the O(A)
+    # tables per depth behind: the counts N_j (A integers) and the slice
+    # tables (A^2 + 1 and A + 1 integers).  No other entry may grow with the
+    # word count.
+    full2 = Sft.full(2, 0.5)
+    cases = [(full2, [stochastic_weight(0.8, full2)] * 10)]
+    for sft in (Sft.full(3, 0.5), Sft(3, CODE_SHIFTS["sparse3"].transitions, 0.5)):
+        cases.append((sft, [Weight(sft, 2, np.full(len(sft.codes(2)), 1.0 / 3))] * 5))
+    for sft, ws in cases:
+        a = sft.n_symbols
+        norm_and_ic_bounds(sft, ws, len(ws), 4, n_samples=3)
+        names = {key: key[0] if isinstance(key, tuple) else key for key in sft._cache}
+        assert set(names.values()) <= {"codes", "representative", "irreducible",
+                                       "counts", "slices"}
+        for key, entry in sft._cache.items():
+            if names[key] not in ("codes", "representative"):
+                parts = entry if isinstance(entry, tuple) else (entry,)
+                assert sum(np.size(part) for part in parts) <= a * a + a + 2, key
 
 
 def test_negative_step_count_rejected():
