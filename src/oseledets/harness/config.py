@@ -60,16 +60,15 @@ from ..errors import ConfigError, DimensionMismatch
 KINDS = ("cocycle", "interval", "sft", "counterexample", "lemma-suite")
 # per kind, each [numerics] key the run reads with its default and least
 # value; any other key is an error.  A count (int default) is an int at least
-# its least value, a tolerance (float default) a finite float above it.  A
-# default that names a key is that key's value.  n_past is at least 2: the
-# splitting's convergence check compares against half the past.
+# its least value, a tolerance (float default) a finite float above it.
+# n_past is at least 2: the splitting's convergence check compares against
+# half the past.
 NUMERICS = {
     "cocycle": {"n": (10_000, 1), "n_past": (200, 2), "n_future": (50, 0), "g_len": (20, 0),
                 "gap_tolerance": (cc.GAP_TOLERANCE, 0.0),
                 "convergence_tolerance": (cc.CONVERGENCE_TOLERANCE, 0.0)},
     "interval": {"k": (64, 1), "n_past": (200, 2), "n_future": (50, 0)},
-    "sft": {"n": (100_000, 1), "n_ic": (3, 1), "m_proj": ("n_ic", 1), "ic_samples": (100, 0),
-            "ly_samples": (25, 1)},
+    "sft": {"n": (100_000, 1), "n_ic": (3, 1), "ly_samples": (25, 1)},
     "counterexample": {"n_pairs": (50, 1), "past_length": (100, 0), "future_length": (20, 0),
                        "gap_tolerance": (cc.GAP_TOLERANCE, 0.0)},
     "lemma-suite": {},
@@ -213,8 +212,6 @@ def validate_config(cfg: RunConfig) -> tuple[dict, tuple]:
             raise ConfigError(f"{reader} reads no [{section}] key {', '.join(unread)}")
     numerics = {}
     for key, (default, low) in NUMERICS[cfg.kind].items():
-        if isinstance(default, str):
-            default = numerics[default]
         try:
             value = (parse_number if isinstance(default, float) else int)(
                 cfg.numerics.get(key, default))

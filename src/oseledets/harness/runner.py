@@ -100,8 +100,7 @@ def run_sft(cfg: RunConfig) -> dict:
     n_ic = num["n_ic"]
     word = driving.sample_window(0, n_ic, stream=0).future
     weights = [example.weights[s] for s in word]
-    sandwich = sf.norm_and_ic_bounds(example.sft, weights, n_ic, num["m_proj"],
-                                     n_samples=num["ic_samples"], seed=cfg.seed)
+    sandwich = sf.norm_and_ic_bounds(example.sft, weights, n_ic)
     rng = np.random.default_rng([cfg.seed, 7])
     samples = []
     for _ in range(num["ly_samples"]):
@@ -125,7 +124,7 @@ def run_sft(cfg: RunConfig) -> dict:
         "op_norm_upper": sandwich.op_norm_upper,
         "ic_lower_formula": sandwich.ic_lower_formula,
         "ic_lower_certified": sandwich.ic_lower_certified,
-        "ic_upper_sampled": sandwich.ic_upper_sampled,
+        "ic_upper_bound": sandwich.ic_upper_bound,
         "distortion_k": sandwich.k_constant,
         "ly_slacks": list(smoothing.slacks),
         "ly_min_slack": min(smoothing.slacks),

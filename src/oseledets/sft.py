@@ -27,10 +27,8 @@ The two cylinder kernels work on stacks of value rows, arrays of shape
 `_prefix_tree_sup` returns one prefix-tree maximum per row, climbing the tree
 only until no higher level can raise any row's maximum.  A single function
 is the one-row case (`transfer_apply`, `transfer_apply_word`, `lip_theta`,
-`distortion_check`).  `norm_and_ic_bounds` sends its random samples through
-them in stacks of at most `SAMPLE_CHUNK_ELEMENTS` values, which bounds the
-memory of a stack whatever the sample count; `lipschitz_ly_check` sends its
-samples through them in one stack per depth.
+`distortion_check`), and `lipschitz_ly_check` sends its samples through them
+in one stack per depth.
 """
 
 from __future__ import annotations
@@ -53,10 +51,6 @@ from .errors import (
 )
 
 Word = tuple[int, ...]
-
-# most float64 values in one stack of sampled rows of `norm_and_ic_bounds`
-# (256 KiB per array); a sample wider than this is a stack of one row
-SAMPLE_CHUNK_ELEMENTS = 2 ** 15
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +431,6 @@ def _lip_rows(sft: Sft, values: np.ndarray, depth: int) -> np.ndarray:
                             lambda lo_a, hi_a, lo_b, hi_b: hi_a - lo_b)
 
 
-def _theta_norm_rows(sft: Sft, values: np.ndarray, depth: int) -> np.ndarray:
-    """theta-norm max(lip_theta, sup) of every row of a depth-`depth` stack."""
-    return np.maximum(_lip_rows(sft, values, depth), np.max(np.abs(values), axis=1))
-
-
 class Weight(CylinderFunction):
     """A strictly positive cylinder function used as a transfer weight."""
 
@@ -523,12 +512,6 @@ def cylinder_projection(sft: Sft, f: CylinderFunction, n: int) -> CylinderFuncti
     if f.depth <= n:
         return f
     return CylinderFunction(sft, n, f.array[sft.representative_index(n, f.depth)])
-
-
-def _projection_rows(sft: Sft, values: np.ndarray, depth: int, n: int) -> np.ndarray:
-    """`cylinder_projection` onto depth n <= `depth` of every row of a
-    depth-`depth` stack, re-expressed at `depth`."""
-    return np.repeat(values[:, sft.representative_index(n, depth)], sft.runs(depth, n), axis=1)
 
 
 def transfer_matrix(sft: Sft, g: CylinderFunction) -> tuple[np.ndarray, list[Word]]:
@@ -672,10 +655,8 @@ class NormSandwich:
     ic_lower_formula: float
     ic_lower_certified: float
     min_pairwise_distance: float
-    ic_upper_sampled: float
+    ic_upper_bound: float
     k_constant: float
-    sampled_caveat: str = ("ic_upper is a sampled lower bound of the "
-                           "finite-rank upper bound")
 
 
 def _proper_nested_depths(sft: Sft, u: Point, k0: int, count: int) -> list[int]:
@@ -697,30 +678,42 @@ def _proper_nested_depths(sft: Sft, u: Point, k0: int, count: int) -> list[int]:
     return out
 
 
-def norm_and_ic_bounds(
-    sft: Sft,
-    weights: Sequence[CylinderFunction],
-    n: int,
-    m_proj: int,
-    *,
-    n_samples: int = 200,
-    seed: int = 0,
-) -> NormSandwich:
-    """Operator-norm and covering-number bounds for the n-step operator.
+def norm_and_ic_bounds(sft: Sft, weights: Sequence[CylinderFunction],
+                       n: int) -> NormSandwich:
+    """Operator-norm and index-of-compactness bounds for the n-step operator
+    P^(n) in the norm ||f||_theta = max(|f|_theta, ||f||_inf).
 
-    The certified side is exact: the family theta^(k_i + n - 1) 1_{C_k_i} ∘ S^n,
-    at the first 5 depths k_i where the cylinder about a maximizer of
-    P^(n) 1 properly shrinks, has unit theta-norm and pairwise image
-    distances at least (1/2) theta^n R_n, so the covering radius is at least
-    a quarter of theta^n R_n.  The upper bounds use the measured smoothing
-    constant and a sampled sup, over `n_samples` random depth-(m_proj + 2)
-    functions, of the finite-rank remainder (a lower bound of that upper
-    bound; see `sampled_caveat`).
+    The certified lower side is exact: the family
+    theta^(k_i + n - 1) 1_{C_k_i} o S^n, at the first 5 depths k_i where the
+    cylinder about a maximizer of P^(n) 1 properly shrinks, has unit
+    theta-norm and pairwise image distances at least (1/2) theta^n R_n, so
+    the covering radius is at least a quarter of theta^n R_n.  `op_norm_est`
+    is the largest ||P^(n) f||_theta / ||f||_theta over the constant 1 and
+    that family, and `op_norm_upper` is (K + 1) R_n with the smoothing
+    constant K = max(2, distortion) of `_smoothing_constant`.
+
+    The upper side is proven: ic(P^(n)) <= R_n theta^n max(2 theta, 1).  Take
+    ||f||_theta <= 1 and r = f - Pi_m f, where Pi_m is `cylinder_projection`
+    onto depth m.  Every x shares its first m symbols with the representative
+    point of its m-cylinder, so ||r||_inf <= theta^m.  Points x, y first
+    differing at an index i >= m lie in one m-cylinder, where Pi_m f is
+    constant, so |r(x) - r(y)| = |f(x) - f(y)| <= theta^i; for i < m,
+    |r(x) - r(y)| <= 2 theta^m <= 2 theta theta^i.  So |r|_theta <=
+    max(2 theta, 1).  The Lasota-Yorke inequality
+    |P^(n) r|_theta <= R_n (theta^n |r|_theta + K ||r||_inf), which
+    `lipschitz_ly_check` checks, holds with K = max(2, distortion), and the
+    weights are positive, so ||P^(n) r||_inf <= R_n ||r||_inf.  P^(n) Pi_m
+    has finite rank, so for every m
+    ic(P^(n)) <= ||P^(n)(I - Pi_m)||_theta
+             <= R_n max(theta^n max(2 theta, 1) + K theta^m, theta^m),
+    and letting m -> infinity gives the bound, with no projection depth left
+    in it.
     """
     if not sft.irreducible:
         raise NotIrreducible("the certificate construction needs irreducibility")
     theta = sft.theta
-    image1 = transfer_apply_word(sft, weights, CylinderFunction.constant(sft, 1.0), n)
+    one = CylinderFunction.constant(sft, 1.0)
+    image1 = transfer_apply_word(sft, weights, one, n)
     r_n = image1.sup_norm()
     k_constant = _smoothing_constant(sft, weights, n)
     op_upper = (k_constant + 1.0) * r_n
@@ -740,41 +733,8 @@ def norm_and_ic_bounds(
             raise NotIrreducible(f"certificate function has theta-norm {tn} != 1")
 
     images = [transfer_apply_word(sft, weights, f, n) for f in family]
-    rng = np.random.default_rng(seed)
-    sample_depth = m_proj + 2
-    n_words = len(sft.codes(sample_depth))
-    chunk = max(1, SAMPLE_CHUNK_ELEMENTS // n_words)
-
-    def stacks():
-        # (rows, depth, theta-norms, known image): the constant 1 and the
-        # family one row each, then the samples, drawn chunk by chunk from
-        # one stream
-        for f, image in zip([CylinderFunction.constant(sft, 1.0)] + family,
-                            [image1] + images):
-            yield f.array[None], f.depth, np.array([f.theta_norm()]), image
-        for start in range(0, n_samples, chunk):
-            rows = rng.uniform(-1.0, 1.0, size=(min(chunk, n_samples - start), n_words))
-            yield rows, sample_depth, _theta_norm_rows(sft, rows, sample_depth), None
-
-    steps = weights[:n]
-    op_est = 0.0
-    ic_upper = 0.0
-    for values, depth, norms, known in stacks():
-        values, norms = values[norms > 0], norms[norms > 0]
-        if not len(values):
-            continue
-        if known is not None and norms[0] == 1.0:
-            image = known.array[None], known.depth  # f * (1.0 / norm) is f bit for bit
-        else:
-            values = values * (1.0 / norms)[:, None]
-            image = _transfer_rows(sft, steps, values, depth)
-        op_est = max(op_est, float(np.max(_theta_norm_rows(sft, *image))))
-        # f minus its projection onto depth m_proj
-        resid = values - (_projection_rows(sft, values, depth, m_proj)
-                          if depth > m_proj else values)
-        ic_upper = max(ic_upper, float(np.max(
-            _theta_norm_rows(sft, *_transfer_rows(sft, steps, resid, depth)))))
-
+    op_est = max(image.theta_norm() / f.theta_norm()
+                 for f, image in zip([one] + family, [image1] + images))
     dmin = min((a - b).theta_norm() for a, b in itertools.combinations(images, 2))
     return NormSandwich(
         r_n=float(r_n),
@@ -783,7 +743,7 @@ def norm_and_ic_bounds(
         ic_lower_formula=float(0.25 * theta ** n * r_n),
         ic_lower_certified=float(dmin / 2.0),
         min_pairwise_distance=float(dmin),
-        ic_upper_sampled=float(ic_upper),
+        ic_upper_bound=float(r_n * theta ** n * max(2.0 * theta, 1.0)),
         k_constant=float(k_constant),
     )
 

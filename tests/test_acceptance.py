@@ -179,7 +179,7 @@ def test_criterion_9_norm_sandwich():
     weights = [sf.antisymmetric_weight_pair(shift, h)] * 8
     ok = True
     for n in range(1, 7):
-        rep = sf.norm_and_ic_bounds(shift, weights, n, n, n_samples=40)
+        rep = sf.norm_and_ic_bounds(shift, weights, n)
         ok &= rep.min_pairwise_distance >= 0.5 * shift.theta ** n * rep.r_n
         ok &= rep.r_n <= rep.op_norm_est + 1e-12
         ok &= rep.op_norm_est <= (rep.k_constant + 1.0) * rep.r_n + 1e-9

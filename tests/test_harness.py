@@ -552,7 +552,6 @@ TWO_MATRIX_CFG = COCYCLE_CFG.replace("[[2, 0], [0, 0.5]]",
     (["run"], COCYCLE_CFG.replace("n_past = 150", "n_past = -3")),
     (["run"], INTERVAL_CFG.replace("k = 32", "k = 0")),
     (["run"], SFT_CFG.replace("n_ic = 3", "n_ic = 0")),
-    (["run"], SFT_CFG + "m_proj = 0\n"),
     (["run"], SFT_CFG + "ly_samples = 0\n"),
     (["run"], COUNTER_CFG.replace("n_pairs = 20", "n_pairs = 0")),
     # the bad point comes second
@@ -569,6 +568,9 @@ TWO_MATRIX_CFG = COCYCLE_CFG.replace("[[2, 0], [0, 0.5]]",
     # [numerics] keys that the kind never reads
     (["sweep", "--grid", "kk=1,2"], INTERVAL_CFG),
     (["run"], SFT_CFG + "k = 8\n"),
+    (["run"], SFT_CFG + "m_proj = 3\n"),
+    (["run"], SFT_CFG + "ic_samples = 100\n"),
+    (["sweep", "--grid", "ic_samples=0,100"], SFT_CFG),
     (["run"], COUNTER_CFG + "n_past = 10\n"),
     # probabilities and transition rows must be finite
     (["run"], TWO_MATRIX_CFG + "\n[driving]\nprobs = nan, 1\n"),
@@ -578,10 +580,11 @@ TWO_MATRIX_CFG = COCYCLE_CFG.replace("[[2, 0], [0, 0.5]]",
     (["run"], COCYCLE_CFG + "convergence_tolerance = inf\n"),
     (["run"], COCYCLE_CFG + "gap_tolerance = inf\n"),
 ], ids=["transition-row-sum", "transition-negative", "n", "n_past", "k", "n_ic",
-        "m_proj", "ly_samples", "n_pairs", "sweep-k", "cocycle-n_past-1",
+        "ly_samples", "n_pairs", "sweep-k", "cocycle-n_past-1",
         "sweep-interval-n_past-1", "sweep-repeated-key", "sweep-aliased-key",
         "sweep-empty-key", "sweep-empty-name", "sweep-empty-section",
-        "sweep-unread-key", "sft-unread-k", "counterexample-unread-n_past",
+        "sweep-unread-key", "sft-unread-k", "sft-unread-m_proj", "sft-unread-ic_samples",
+        "sweep-sft-unread-ic_samples", "counterexample-unread-n_past",
         "probs-not-finite", "transition-not-finite", "convergence-tolerance-inf",
         "gap-tolerance-inf"])
 def test_cli_out_of_range_config_is_config_error(tmp_path, capsys, argv, text):

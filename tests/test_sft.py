@@ -424,8 +424,8 @@ def test_transfer_matrix_matches_symbol_loop_reference():
 def test_run_length_tables_match_gather_references():
     # every shift on 1..3 symbols at depths 1..8: the run-length repeats equal
     # the tuple-word prefix maps, the slice tables equal the searchsorted of
-    # the heads s t 0 ... 0 and t 0 ... 0, and `with_depth` and the m_proj
-    # projection rows equal their gathers bit for bit
+    # the heads s t 0 ... 0 and t 0 ... 0, and `with_depth` equals its gather
+    # bit for bit
     rng = np.random.default_rng(32)
     for t in (t for t in _valid_shifts() if len(t) <= 3):
         sft = Sft(len(t), t, 0.5)
@@ -433,16 +433,14 @@ def test_run_length_tables_match_gather_references():
         words = {d: ref_words(sft, d) for d in range(1, 9)}
         index = {d: {w: i for i, w in enumerate(words[d])} for d in words}
         for depth in range(1, 9):
-            rows = rng.uniform(-1.0, 1.0, size=(2, len(words[depth])))
+            vals = rng.uniform(-1.0, 1.0, size=len(words[depth]))
             for d in range(1, depth + 1):
                 ref = np.array([index[d][w[:d]] for w in words[depth]], dtype=np.int64)
                 runs = sft.runs(depth, d)
                 assert np.array_equal(np.repeat(np.arange(len(words[d])), runs), ref)
                 assert np.array_equal(sft.prefix_index(depth, d), ref)
-                f = CylinderFunction(sft, d, rows[0, :len(words[d])])
+                f = CylinderFunction(sft, d, vals[:len(words[d])])
                 assert f.with_depth(depth).array.tobytes() == f.array[ref].tobytes()
-                gather = rows[:, sft.representative_index(d, depth)[ref]]
-                assert sf._projection_rows(sft, rows, depth, d).tobytes() == gather.tobytes()
             if depth < 8:
                 heads = np.arange(a * a + 1) * a ** (depth - 1)
                 pair, block = sft.slices(depth)
@@ -452,22 +450,20 @@ def test_run_length_tables_match_gather_references():
 
 def test_cache_keeps_no_index_maps():
     # the index maps are rebuilt on every call, so a sandwich leaves only
-    # codes, representative gathers, the irreducibility flag and the O(A)
-    # tables per depth behind: the counts N_j (A integers) and the slice
-    # tables (A^2 + 1 and A + 1 integers).  No other entry may grow with the
-    # word count.
+    # codes, the irreducibility flag and the O(A) tables per depth behind:
+    # the counts N_j (A integers) and the slice tables (A^2 + 1 and A + 1
+    # integers).  No other entry may grow with the word count.
     full2 = Sft.full(2, 0.5)
     cases = [(full2, [stochastic_weight(0.8, full2)] * 10)]
     for sft in (Sft.full(3, 0.5), Sft(3, CODE_SHIFTS["sparse3"].transitions, 0.5)):
         cases.append((sft, [Weight(sft, 2, np.full(len(sft.codes(2)), 1.0 / 3))] * 5))
     for sft, ws in cases:
         a = sft.n_symbols
-        norm_and_ic_bounds(sft, ws, len(ws), 4, n_samples=3)
+        norm_and_ic_bounds(sft, ws, len(ws))
         names = {key: key[0] if isinstance(key, tuple) else key for key in sft._cache}
-        assert set(names.values()) <= {"codes", "representative", "irreducible",
-                                       "counts", "slices"}
+        assert set(names.values()) <= {"codes", "irreducible", "counts", "slices"}
         for key, entry in sft._cache.items():
-            if names[key] not in ("codes", "representative"):
+            if names[key] != "codes":
                 parts = entry if isinstance(entry, tuple) else (entry,)
                 assert sum(np.size(part) for part in parts) <= a * a + a + 2, key
 
@@ -773,7 +769,7 @@ def test_smoothing_random_sample():
 def test_smoothing_default_k_is_sandwich_k():
     ws = [stochastic_weight(0.8), stochastic_weight(0.3)] * 3
     for n in (2, 4):
-        sandwich = norm_and_ic_bounds(FULL, ws, n, n, n_samples=5)
+        sandwich = norm_and_ic_bounds(FULL, ws, n)
         default = lipschitz_ly_check(FULL, ws, n, [CylinderFunction.constant(FULL, 1.0)])
         assert default.k_constant == sandwich.k_constant
         assert default.r_n == sandwich.r_n
@@ -819,37 +815,45 @@ def test_smoothing_stacks_match_per_sample_loop(name):
 def test_sandwich_ordering_and_certificates():
     ws = [stochastic_weight(0.8)] * 8
     for n in (2, 3, 4):
-        rep = norm_and_ic_bounds(FULL, ws, n, n, n_samples=50)
+        rep = norm_and_ic_bounds(FULL, ws, n)
         assert rep.r_n <= rep.op_norm_est + 1e-12
         assert rep.op_norm_est <= rep.op_norm_upper + 1e-9
-        assert rep.ic_lower_certified <= rep.ic_upper_sampled + rep.op_norm_upper
+        assert rep.ic_lower_certified <= rep.ic_upper_bound
         assert rep.min_pairwise_distance >= 0.5 * 0.5 ** n * rep.r_n - 1e-15
         assert rep.ic_lower_certified >= rep.ic_lower_formula - 1e-15
 
 
 def test_sandwich_stochastic_n3_values():
     ws = [stochastic_weight(0.8)] * 8
-    rep = norm_and_ic_bounds(FULL, ws, 3, 3, n_samples=50)
+    rep = norm_and_ic_bounds(FULL, ws, 3)
     assert rep.r_n == 1.0
     assert rep.ic_lower_formula == pytest.approx(1 / 32)
+    assert rep.ic_upper_bound == 1 / 8
     assert rep.min_pairwise_distance >= 1 / 16
 
 
 def test_sandwich_kappa_fit():
-    ws = [stochastic_weight(0.8)] * 10
-    fits = []
-    for n in (4, 6, 8):
-        rep = norm_and_ic_bounds(FULL, ws, n, n, n_samples=40)
-        fits.append(np.log(rep.ic_upper_sampled) / n)
-    target = np.log(0.5)  # log theta + log R*, R* = 1
-    for fit in fits:
-        assert fit == pytest.approx(target, abs=0.1)
+    # stochastic weights have R_n = 1, so the rate interval
+    # [(1/n) log ic_lower_certified, (1/n) log ic_upper_bound] contains
+    # log theta, and it is at most (log 4 + log max(2 theta, 1)) / n wide:
+    # ic_upper_bound is theta^n max(2 theta, 1) and ic_lower_certified is at
+    # least the formula theta^n / 4.  Both are checked exponentiated, on the
+    # computed values, so no rounded logarithm enters
+    for theta in (0.5, 0.3):
+        sft = Sft.full(2, theta)
+        ws = [stochastic_weight(0.8, sft)] * 10
+        for n in (4, 6, 8):
+            rep = norm_and_ic_bounds(sft, ws, n)
+            assert rep.r_n == 1.0
+            assert rep.ic_lower_certified <= theta ** n <= rep.ic_upper_bound, (theta, n)
+            assert (rep.ic_upper_bound
+                    <= 4.0 * max(2.0 * theta, 1.0) * rep.ic_lower_certified), (theta, n)
 
 
 def test_sandwich_transfers_each_input_once(monkeypatch):
-    # for theta = 1/2 the constant 1 and the certificate family have
-    # theta-norm exactly 1, so the sandwich reuses their images: every input
-    # row goes through the n-step row transfer kernel once
+    # the operator-norm estimate reuses the images of the constant 1 and the
+    # certificate family: every input row goes through the n-step row
+    # transfer kernel once
     seen = []
     transfer_rows = sf._transfer_rows
 
@@ -860,15 +864,19 @@ def test_sandwich_transfers_each_input_once(monkeypatch):
 
     monkeypatch.setattr(sf, "_transfer_rows", counting)
     ws = [stochastic_weight(0.8)] * 8
-    norm_and_ic_bounds(FULL, ws, 3, 3, n_samples=7)
-    # P^(n) 1, the 5 family images, the 7 sampled images, 13 residual images
-    assert len(seen) == 1 + 5 + 7 + 13
+    norm_and_ic_bounds(FULL, ws, 3)
+    # P^(n) 1 and the 5 family images
+    assert len(seen) == 1 + 5
     assert len(set(seen)) == len(seen)
 
 
-def ref_norm_and_ic_bounds(sft, weights, n, m_proj, n_samples, seed) -> NormSandwich:
-    # the single-function sandwich: one draw, one normalisation and two n-step
-    # transfers per sample, through the public ops
+def ref_norm_and_ic_bounds(sft, weights, n, m=1, n_samples=0, seed=0):
+    """The sandwich through the public single-function ops, and the sampled
+    sup of ||P^(n)(f - Pi_m f)||_theta over ||f||_theta = 1: the constant 1,
+    the certificate family and `n_samples` random depth-(m + 2) functions,
+    each normalised and sent through two n-step transfers.  The sample is a
+    lower estimate of ||P^(n)(I - Pi_m)||_theta, which the closed form
+    bounds."""
     theta = sft.theta
     one = CylinderFunction.constant(sft, 1.0)
     image1 = transfer_apply_word(sft, weights, one, n)
@@ -882,30 +890,25 @@ def ref_norm_and_ic_bounds(sft, weights, n, m_proj, n_samples, seed) -> NormSand
         family.append(CylinderFunction(sft, k + n,
                                        np.where(match, theta ** (k + n - 1), 0.0)))
     images = [transfer_apply_word(sft, weights, f, n) for f in family]
+    op_est = max(image.theta_norm() / f.theta_norm()
+                 for f, image in zip([one] + family, [image1] + images))
     rng = np.random.default_rng(seed)
-    n_words = len(sft.codes(m_proj + 2))
-    samples = [one] + family + [
-        CylinderFunction(sft, m_proj + 2, rng.uniform(-1.0, 1.0, size=n_words))
-        for _ in range(n_samples)]
-    known = [image1] + images
-    op_est = ic_upper = 0.0
-    for i, f in enumerate(samples):
+    n_words = len(sft.codes(m + 2))
+    sampled = 0.0
+    for f in [one] + family + [
+            CylinderFunction(sft, m + 2, rng.uniform(-1.0, 1.0, size=n_words))
+            for _ in range(n_samples)]:
         norm = f.theta_norm()
-        if norm <= 0:
-            continue
-        if i < len(known) and norm == 1.0:
-            image = known[i]
-        else:
+        if norm != 1.0:
             f = f * (1.0 / norm)
-            image = transfer_apply_word(sft, weights, f, n)
-        op_est = max(op_est, image.theta_norm())
-        resid = f - cylinder_projection(sft, f, m_proj)
-        ic_upper = max(ic_upper, transfer_apply_word(sft, weights, resid, n).theta_norm())
+        resid = f - cylinder_projection(sft, f, m)
+        sampled = max(sampled, transfer_apply_word(sft, weights, resid, n).theta_norm())
     dmin = min((a - b).theta_norm() for a, b in itertools.combinations(images, 2))
     return NormSandwich(r_n=r_n, op_norm_est=op_est, op_norm_upper=(k_constant + 1.0) * r_n,
                         ic_lower_formula=0.25 * theta ** n * r_n,
                         ic_lower_certified=dmin / 2.0, min_pairwise_distance=dmin,
-                        ic_upper_sampled=ic_upper, k_constant=k_constant)
+                        ic_upper_bound=r_n * theta ** n * max(2.0 * theta, 1.0),
+                        k_constant=k_constant), sampled
 
 
 GOLDEN = Sft.golden_mean(0.6)
@@ -918,29 +921,47 @@ def _random_weights(sft, seed, count=4):
             for _ in range(count)]
 
 
-@pytest.mark.parametrize("sft, weights, n, m_proj, n_samples, chunk", [
-    (FULL, [stochastic_weight(0.8), stochastic_weight(0.3)] * 2, 3, 3, 0, 1024),
-    (FULL, [stochastic_weight(0.8), stochastic_weight(0.3)] * 2, 3, 3, 1, 1024),
-    # 19 samples of 4096 values: stacks of 8, 8 and 3 rows
-    (FULL, [stochastic_weight(0.6), stochastic_weight(0.9)], 2, 10, 19, 8),
-    # 2^15 values per sample: every stack holds one row
-    (FULL, [stochastic_weight(0.6), stochastic_weight(0.9)], 2, 13, 3, 1),
-    (GOLDEN, _random_weights(GOLDEN, 1), 3, 4, 40, 1560),
-    # 243 values per sample: stacks of 134, 134 and 32 rows
-    (FULL3, _random_weights(FULL3, 2), 2, 3, 300, 134),
+@pytest.mark.parametrize("sft, weights, n", [
+    (FULL, [stochastic_weight(0.8), stochastic_weight(0.3)] * 2, 3),
+    (FULL, [stochastic_weight(0.8), stochastic_weight(0.3)] * 2, 1),
+    (FULL, [stochastic_weight(0.6), stochastic_weight(0.9)], 2),
+    (FULL, [stochastic_weight(0.6), stochastic_weight(0.9)] * 2, 4),
+    (GOLDEN, _random_weights(GOLDEN, 1), 3),
+    (FULL3, _random_weights(FULL3, 2), 2),
 ], ids=["no-samples", "one-sample", "partial-stack", "one-row-stacks", "golden", "full3"])
-def test_sandwich_matches_single_function_reference(sft, weights, n, m_proj, n_samples,
-                                                    chunk):
-    assert sf.SAMPLE_CHUNK_ELEMENTS // len(sft.codes(m_proj + 2)) == chunk
-    rep = norm_and_ic_bounds(sft, weights, n, m_proj, n_samples=n_samples, seed=5)
-    assert rep == ref_norm_and_ic_bounds(sft, weights, n, m_proj, n_samples, seed=5)
+def test_sandwich_matches_single_function_reference(sft, weights, n):
+    rep = norm_and_ic_bounds(sft, weights, n)
+    assert rep == ref_norm_and_ic_bounds(sft, weights, n)[0]
+
+
+@pytest.mark.parametrize("sft", [FULL, GOLDEN, FULL3, Sft.full(2, 0.3)],
+                         ids=["full2", "golden", "full3", "full2-theta0.3"])
+def test_sampled_residual_stays_under_the_proven_bound(sft):
+    # the proof of `ic_upper_bound`, checked on samples: for every projection
+    # depth m, ||P^(n)(f - Pi_m f)||_theta <= R_n max(theta^n max(2 theta, 1)
+    # + K theta^m, theta^m) when ||f||_theta = 1.  The sampled norms are
+    # rounded sums, so they may pass the bound by a relative 1e-12: with
+    # theta = 1/2, amplitudes (0.6, 0.9) and n = m = 10 a sampled norm whose
+    # exact value is 2^-10 came out as 9.765625000000004e-4, 2 ulp above it
+    theta = sft.theta
+    weights = _random_weights(sft, 3)
+    for n in (1, 2, 3):
+        rep = norm_and_ic_bounds(sft, weights, n)
+        assert rep.ic_upper_bound == rep.r_n * theta ** n * max(2.0 * theta, 1.0)
+        assert rep.ic_lower_certified <= rep.ic_upper_bound
+        for m in range(1, 6):
+            sandwich, sampled = ref_norm_and_ic_bounds(sft, weights, n, m, 20, seed=m)
+            assert sandwich == rep
+            bound = rep.r_n * max(theta ** n * max(2.0 * theta, 1.0)
+                                  + rep.k_constant * theta ** m, theta ** m)
+            assert sampled <= bound * (1.0 + 1e-12), (n, m, sampled, bound)
 
 
 def test_sandwich_needs_irreducible():
     reducible = Sft(2, np.array([[1, 0], [0, 1]], dtype=np.int8), 0.5)
     ws = [Weight(reducible, 1, np.array([0.5, 0.5]))] * 3
     with pytest.raises(NotIrreducible):
-        norm_and_ic_bounds(reducible, ws, 2, 2, n_samples=5)
+        norm_and_ic_bounds(reducible, ws, 2)
 
 
 def _valid_shifts():
